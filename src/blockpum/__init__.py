@@ -2,6 +2,7 @@
 
 from .blockpart import (
     BlockStructure,
+    JoinResult,
     Neighborhood,
     RangeResult,
     block_index,
@@ -10,6 +11,7 @@ from .blockpart import (
     build,
     containing_query,
     neighborhood_of,
+    range_join,
     range_search,
     strip_index,
 )

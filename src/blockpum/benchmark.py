@@ -1,6 +1,8 @@
 """Scaling harness for the block structure build and range search.
 
-For each problem size: build the structure over Halton data (timed),
+The structure builds of all problem sizes are timed first, in rounds
+that build every size once, so a slow phase of the host hits all sizes
+alike instead of skewing their ratios. Then, for each size:
 run one fixed-radius query per subdomain center (timed, with candidate
 counts), time the brute-force scan on a query subsample, and verify the
 block search against brute force on another subsample.
@@ -25,7 +27,7 @@ def run_search_benchmark(
     check_sample: int = 1000,
 ) -> dict:
     """Benchmark rows per size plus consecutive-size time ratios."""
-    rows = []
+    cases = []
     for n in sizes:
         pts = halton(int(n), dim)
         dom = convex_hull(pts)
@@ -33,13 +35,18 @@ def run_search_benchmark(
         d_r_actual = _side_count(d_r, dim) ** dim
         delta = subdomain_radius(dom.box.edge, d_r_actual, dim)
         q = blocks_per_side(dom.box.edge, delta, "cover")
+        cases.append((pts, dom, d_r_actual, delta, q))
 
-        t_build = np.inf
-        for _ in range(build_repeats):
+    t_builds = [np.inf] * len(cases)
+    for _ in range(build_repeats):
+        for k, (pts, dom, _, _, q) in enumerate(cases):
             t0 = time.perf_counter()
-            bs = build(pts, dom.box, q)
-            t_build = min(t_build, time.perf_counter() - t0)
+            build(pts, dom.box, q)
+            t_builds[k] = min(t_builds[k], time.perf_counter() - t0)
 
+    rows = []
+    for (pts, dom, d_r_actual, delta, q), t_build in zip(cases, t_builds):
+        bs = build(pts, dom.box, q)
         centers = reduce_to_domain(grid_on_rect(dom.rect, d_r_actual), dom).coords
 
         cand_total = 0

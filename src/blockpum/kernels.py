@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial.distance import cdist
 
-from .blockpart import BlockStructure, range_search
+from .blockpart import BlockStructure, range_join
 from .errors import SupportExceedsNeighborhood
 from .geometry import PointSet
 
@@ -122,18 +122,11 @@ def sparse_distance_matrix(
             f"support {support:g} exceeds block width {b_structure.width:g}; "
             "rebuild the structure in cover mode with radius >= 1/epsilon"
         )
-    rows, cols, vals = [], [], []
-    for i, p in enumerate(a.coords):
-        found = range_search(b_structure, p, support)
-        inside = found.distances < support
-        if inside.any():
-            j = found.indices[inside]
-            rows.append(np.full(len(j), i, dtype=np.int64))
-            cols.append(j)
-            vals.append(kernel(found.distances[inside]))
-    if rows:
-        rows, cols, vals = map(np.concatenate, (rows, cols, vals))
-    else:
-        rows = cols = np.empty(0, dtype=np.int64)
-        vals = np.empty(0)
-    return SparseKernelMatrix(shape=(len(a), len(b)), rows=rows, cols=cols, values=vals)
+    found = range_join(b_structure, a.coords, support)
+    inside = found.distances < support
+    return SparseKernelMatrix(
+        shape=(len(a), len(b)),
+        rows=found.rows()[inside],
+        cols=found.indices[inside],
+        values=kernel(found.distances[inside]),
+    )

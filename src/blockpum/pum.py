@@ -4,7 +4,9 @@ Subdomain centers are laid out as a grid on the bounding rectangle, reduced
 to the hull, and given a common radius tied to the grid resolution. All
 point-in-subdomain queries run through the block structure, local kernel
 systems are solved per subdomain, and local fits are blended with Shepard
-weights into the global interpolant.
+weights into the global interpolant. Each lookup is one batched block join:
+centers against the data-site index at fit, points against the center
+index (built once at fit) whenever the interpolant is evaluated.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from scipy.linalg import solve as lin_solve
 from scipy.sparse.linalg import LinearOperator, onenormest, splu
 from scipy.spatial.distance import cdist
 
-from .blockpart import BlockStructure, blocks_per_side, build, range_search
+from .blockpart import BlockStructure, blocks_per_side, build, range_join
 from .errors import (
     EmptyReduction,
     EmptySubdomainPruned,
@@ -76,29 +78,40 @@ class PumConfig:
             raise ValueError("s_r must be >= 1")
         if self.delta_override is not None and self.delta_override <= 0:
             raise ValueError("delta_override must be positive")
+        if self.threads < 1:
+            raise ValueError("threads must be >= 1")
 
 
 @dataclass
 class Covering:
-    """Subdomain centers with common radius and per-subdomain member lists.
+    """Subdomain centers with common radius, member lists and center index.
 
-    Only subdomains holding at least one data site survive; when an
-    evaluation set is attached, every evaluation point is inside at least
-    one surviving subdomain.
+    Only subdomains holding at least one data site survive.
+    ``center_index`` is a cover-mode block structure over the surviving
+    centers, so the 3^M block neighborhood of any point holds every
+    subdomain containing it.
     """
 
     centers: np.ndarray
     radius: float
     node_lists: list
     node_dists: list
-    eval_lists: list
-    eval_dists: list
+    center_index: BlockStructure
     d_requested: int
     n_pruned: int
 
     @property
     def d(self) -> int:
         return len(self.centers)
+
+    def active(self, points):
+        """(point row, subdomain, distance) for each point strictly inside a subdomain.
+
+        Sorted by point row, then distance, then subdomain.
+        """
+        found = range_join(self.center_index, points, self.radius)
+        inside = found.distances < self.radius
+        return found.rows()[inside], found.indices[inside], found.distances[inside]
 
 
 @dataclass
@@ -198,13 +211,10 @@ def shepard_weights(p, covering: Covering, active=None) -> np.ndarray:
 
 def _memberships(bs: BlockStructure, centers: np.ndarray, radius: float):
     """Strict-interior members of each ball, found through the block grid."""
-    lists, dists = [], []
-    for c in centers:
-        found = range_search(bs, c, radius)
-        inside = found.distances < radius
-        lists.append(found.indices[inside])
-        dists.append(found.distances[inside])
-    return lists, dists
+    found = range_join(bs, centers, radius)
+    inside = found.distances < radius
+    cuts = np.cumsum(np.bincount(found.rows()[inside], minlength=len(centers)))[:-1]
+    return np.split(found.indices[inside], cuts), np.split(found.distances[inside], cuts)
 
 
 def build_covering(nodes: PointSet, dom: ConvexDomain, cfg: PumConfig, eval_points=None) -> Covering:
@@ -261,7 +271,6 @@ def _build_covering_once(nodes, dom, cfg, eval_coords, d_r):
     centers = reduce_to_domain(grid_on_rect(dom.rect, d_r_actual), dom).coords
     q = blocks_per_side(dom.box.edge, delta, cfg.block_mode)
     nodes_bs = build(nodes, dom.box, q)
-    evals_bs = None if eval_coords is None else build(PointSet(eval_coords), dom.box, q)
     t1 = time.perf_counter()
 
     node_lists, node_dists = _memberships(nodes_bs, centers, delta)
@@ -274,35 +283,27 @@ def _build_covering_once(nodes, dom, cfg, eval_coords, d_r):
             stacklevel=2,
         )
     centers = centers[occupied]
-    node_lists = [node_lists[j] for j in occupied]
-    node_dists = [node_dists[j] for j in occupied]
+    covering = Covering(
+        centers=centers,
+        radius=delta,
+        node_lists=[node_lists[j] for j in occupied],
+        node_dists=[node_dists[j] for j in occupied],
+        center_index=build(PointSet(centers), dom.box, blocks_per_side(dom.box.edge, delta, "cover")),
+        d_requested=d_r_actual,
+        n_pruned=n_pruned,
+    )
 
-    if evals_bs is not None:
-        eval_lists, eval_dists = _memberships(evals_bs, centers, delta)
+    if eval_coords is not None:
         covered = np.zeros(len(eval_coords), dtype=bool)
-        for members in eval_lists:
-            covered[members] = True
+        covered[covering.active(eval_coords)[0]] = True
         if not covered.all():
             missing = np.flatnonzero(~covered)
             raise InsufficientCoverage(
                 f"{len(missing)} evaluation points lie in no nonempty subdomain, "
                 f"first at {eval_coords[missing[0]]}; increase overlap or node density"
             )
-    else:
-        eval_lists = [np.empty(0, dtype=np.int64) for _ in node_lists]
-        eval_dists = [np.empty(0) for _ in node_lists]
     t2 = time.perf_counter()
 
-    covering = Covering(
-        centers=centers,
-        radius=delta,
-        node_lists=node_lists,
-        node_dists=node_dists,
-        eval_lists=eval_lists,
-        eval_dists=eval_dists,
-        d_requested=d_r_actual,
-        n_pruned=n_pruned,
-    )
     extras = {
         "q": q,
         "t_structure_s": t1 - t0,
@@ -397,22 +398,6 @@ def _fit_subdomains(nodes, covering, kernel, threads) -> list:
     return [fit_one(j) for j in range(covering.d)]
 
 
-def _accumulate(eval_coords, covering, fits, nodes_coords, kernel):
-    """Blend local fits with Shepard weights; subdomains in ascending order."""
-    num = np.zeros(len(eval_coords))
-    den = np.zeros(len(eval_coords))
-    inv_delta = 1.0 / covering.radius
-    for j in range(covering.d):
-        members = covering.eval_lists[j]
-        if len(members) == 0:
-            continue
-        w = phi_wendland_c2(covering.eval_dists[j], inv_delta)
-        local = kernel(cdist(eval_coords[members], nodes_coords[covering.node_lists[j]]))
-        num[members] += w * (local @ fits[j].coefficients)
-        den[members] += w
-    return num, den
-
-
 @dataclass
 class PumModel:
     """A fitted partition-of-unity interpolant."""
@@ -433,31 +418,23 @@ class PumModel:
     def predict(self, points, on_uncovered: str = "raise") -> np.ndarray:
         """Evaluate the interpolant at arbitrary points.
 
-        Points inside no subdomain either raise NoActiveSubdomain
-        (on_uncovered="raise") or take the nearest surviving subdomain's
-        local fit with weight one (on_uncovered="nearest").
+        Costs time in proportion to the batch: each point looks up its
+        subdomains in the center index built at fit. Points inside no
+        subdomain either raise NoActiveSubdomain (on_uncovered="raise") or
+        take the nearest surviving subdomain's local fit with weight one
+        (on_uncovered="nearest"). Points of the wrong dimension or with
+        non-finite coordinates raise ValueError.
         """
         if on_uncovered not in ("raise", "nearest"):
             raise ValueError("on_uncovered must be 'raise' or 'nearest'")
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.empty(len(points))
-        box = self.domain.box
-        tol = 1e-12 * box.edge
-        inbox = np.all((points >= box.lo - tol) & (points <= box.hi + tol), axis=1)
-        uncovered_parts = []
-
-        if inbox.any():
-            idx = np.flatnonzero(inbox)
-            vals, missing = self._predict_inbox(points[idx])
-            out[idx] = vals
-            uncovered_parts.append(idx[missing])
-        if not inbox.all():
-            idx = np.flatnonzero(~inbox)
-            vals, missing = self._predict_loose(points[idx])
-            out[idx] = vals
-            uncovered_parts.append(idx[missing])
-
-        uncovered = np.concatenate(uncovered_parts) if uncovered_parts else np.empty(0, np.int64)
+        if points.ndim != 2 or points.shape[1] != self.domain.dim:
+            raise ValueError(f"points must be (n, {self.domain.dim}), got shape {points.shape}")
+        if not np.isfinite(points).all():
+            raise ValueError("points must be finite")
+        num, den = self._blend(points)
+        out = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+        uncovered = np.flatnonzero(den == 0)
         if len(uncovered):
             if on_uncovered == "raise":
                 raise NoActiveSubdomain(
@@ -466,42 +443,28 @@ class PumModel:
             out[uncovered] = self._predict_nearest(points[uncovered])
         return out
 
-    def _predict_inbox(self, pts):
-        qbs = build(
-            PointSet(pts),
-            self.domain.box,
-            blocks_per_side(self.domain.box.edge, self.delta, "cover"),
-        )
-        lists, dists = _memberships(qbs, self.covering.centers, self.delta)
-        probe = Covering(
-            centers=self.covering.centers,
-            radius=self.delta,
-            node_lists=self.covering.node_lists,
-            node_dists=self.covering.node_dists,
-            eval_lists=lists,
-            eval_dists=dists,
-            d_requested=self.covering.d_requested,
-            n_pruned=self.covering.n_pruned,
-        )
-        num, den = _accumulate(pts, probe, self.fits, self.nodes.coords, self.kernel)
-        missing = np.flatnonzero(den == 0)
-        vals = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-        return vals, missing
+    def _blend(self, points):
+        """Shepard numerator and denominator at ``points``, subdomains in ascending order.
 
-    def _predict_loose(self, pts):
-        # out-of-box queries: few by construction, evaluated one by one
-        vals = np.zeros(len(pts))
-        missing = []
-        for i, p in enumerate(pts):
-            dist = np.linalg.norm(self.covering.centers - p, axis=1)
-            active = np.flatnonzero(dist < self.delta)
-            if len(active) == 0:
-                missing.append(i)
-                continue
-            w = phi_wendland_c2(dist[active], 1.0 / self.delta)
-            local = np.array([self._local_value(j, p) for j in active])
-            vals[i] = float(np.dot(w, local) / w.sum())
-        return vals, np.asarray(missing, dtype=np.int64)
+        Within a subdomain the points go by (distance, row). The local
+        matrix-vector product rounds by row position, so this fixed order
+        keeps the values reproducible to the last bit.
+        """
+        rows, subs, dists = self.covering.active(points)
+        order = np.lexsort((rows, dists, subs))
+        rows, subs, dists = rows[order], subs[order], dists[order]
+        num = np.zeros(len(points))
+        den = np.zeros(len(points))
+        inv_delta = 1.0 / self.delta
+        nodes_coords = self.nodes.coords
+        present, firsts = np.unique(subs, return_index=True)
+        for j, lo, hi in zip(present, firsts, np.r_[firsts[1:], len(subs)]):
+            members = rows[lo:hi]
+            w = phi_wendland_c2(dists[lo:hi], inv_delta)
+            local = self.kernel(cdist(points[members], nodes_coords[self.covering.node_lists[j]]))
+            num[members] += w * (local @ self.fits[j].coefficients)
+            den[members] += w
+        return num, den
 
     def _predict_nearest(self, pts):
         vals = np.empty(len(pts))
@@ -511,11 +474,6 @@ class PumModel:
             local = self.kernel(cdist(pts[rows], self.nodes.coords[self.covering.node_lists[j]]))
             vals[rows] = local @ self.fits[j].coefficients
         return vals
-
-    def _local_value(self, j, p):
-        members = self.covering.node_lists[j]
-        r = np.linalg.norm(self.nodes.coords[members] - p, axis=1)
-        return float(self.kernel(r) @ self.fits[j].coefficients)
 
     def conditioning(self):
         conds = np.array([f.cond for f in self.fits])
@@ -581,11 +539,6 @@ def pum_interpolate(nodes: PointSet, cfg: PumConfig, eval_points=None, truth=Non
     fits = _fit_subdomains(nodes, covering, cfg.kernel, cfg.threads)
     t_solve = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    num, den = _accumulate(eval_coords, covering, fits, nodes.coords, cfg.kernel)
-    values = num / den
-    t_eval = time.perf_counter() - t0
-
     model = PumModel(
         domain=dom,
         kernel=cfg.kernel,
@@ -595,6 +548,11 @@ def pum_interpolate(nodes: PointSet, cfg: PumConfig, eval_points=None, truth=Non
         nodes=nodes,
         q=extras["q"],
     )
+    t0 = time.perf_counter()
+    num, den = model._blend(eval_coords)
+    values = num / den
+    t_eval = time.perf_counter() - t0
+
     report = _make_report(model, eval_coords, values, truth)
     report.timings = {
         "t_structure_s": t_hull + extras["t_structure_s"],

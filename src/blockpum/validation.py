@@ -87,9 +87,16 @@ def mae(truth, approx) -> float:
 
 
 def rmse(truth, approx) -> float:
-    """Root mean square error."""
-    e = _errors(truth, approx)
-    return float(np.sqrt(np.mean(e**2)))
+    """Root mean square error.
+
+    The errors are scaled by the largest one before squaring: every scaled
+    square is at most 1, so in floating point the result never exceeds mae.
+    """
+    e = np.abs(_errors(truth, approx))
+    scale = e.max()
+    if scale == 0 or not np.isfinite(scale):
+        return float(scale)
+    return float(scale * np.sqrt(np.mean((e / scale) ** 2)))
 
 
 def convergence_rate(rmse_prev: float, rmse_k: float, h_prev: float, h_k: float) -> float:

@@ -97,6 +97,17 @@ class TestBuild:
         for k in range(1, q**dim + 1):
             assert list(bs.bucket(k)) == ref.get(k, [])
 
+    def test_codes_computed_in_several_passes(self, rng, monkeypatch):
+        import blockpum.blockpart as blockpart
+
+        monkeypatch.setattr(blockpart, "BUILD_CHUNK", 7)
+        pts = bp.PointSet(rng.random((100, 3)))
+        box = bp.Box(0.0, 1.0, 3)
+        bs = bp.build(pts, box, q=4)
+        ref = reference_build_buckets(pts.coords, box, 4)
+        for k in range(1, 4**3 + 1):
+            assert list(bs.bucket(k)) == ref.get(k, [])
+
 
 class TestContainingQuery:
     def test_examples(self):
@@ -197,6 +208,60 @@ class TestRangeSearch:
         assert np.array_equal(got.indices, want.indices)
         assert np.allclose(got.distances, want.distances, rtol=0, atol=1e-14)
         assert got.candidates <= len(pts)
+
+
+class TestRangeJoin:
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([2, 3]), st.integers(1, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_equal_range_search(self, seed, dim, q):
+        rng = np.random.default_rng(seed)
+        # a clustered set leaves most blocks empty
+        spread = rng.choice([1.0, 0.3])
+        pts = rng.random((rng.integers(1, 150), dim)) * spread
+        bs = bp.build(bp.PointSet(pts), bp.Box(0.0, 1.0, dim), q=q)
+        radius = rng.uniform(0.0, bs.width)
+        queries = np.vstack(
+            [
+                rng.random((15, dim)),
+                rng.integers(0, q + 1, (15, dim)) / q,  # block and box boundaries
+                rng.uniform(-0.5, 1.5, (15, dim)),  # mostly outside the box
+                pts[:5],
+            ]
+        )
+        found = bp.range_join(bs, queries, radius)
+        assert found.indptr[0] == 0 and found.indptr[-1] == len(found.indices)
+        candidates = 0
+        for i, center in enumerate(queries):
+            want = bp.range_search(bs, center, radius)
+            hits = slice(found.indptr[i], found.indptr[i + 1])
+            assert np.array_equal(found.indices[hits], want.indices)
+            assert np.array_equal(found.distances[hits], want.distances)
+            candidates += want.candidates
+        assert found.candidates == candidates
+        assert np.array_equal(found.rows(), np.repeat(np.arange(len(queries)), np.diff(found.indptr)))
+
+    def test_spans_several_chunks(self, rng, monkeypatch):
+        import blockpum.blockpart as blockpart
+
+        monkeypatch.setattr(blockpart, "JOIN_CHUNK", 7)
+        pts = bp.PointSet(rng.random((300, 2)))
+        bs = bp.build(pts, bp.Box(0.0, 1.0, 2), q=5)
+        queries = rng.random((30, 2))
+        found = bp.range_join(bs, queries, 0.15)
+        for i, center in enumerate(queries):
+            want = bp.range_search(bs, center, 0.15)
+            assert np.array_equal(found.indices[found.indptr[i] : found.indptr[i + 1]], want.indices)
+
+    def test_empty_batch(self):
+        bs = bp.build(bp.PointSet([[0.5, 0.5]]), bp.Box(0.0, 1.0, 2), q=2)
+        found = bp.range_join(bs, np.empty((0, 2)), 0.3)
+        assert list(found.indptr) == [0]
+        assert len(found.indices) == 0 and found.candidates == 0
+
+    def test_wrong_dimension_raises(self):
+        bs = bp.build(bp.PointSet([[0.5, 0.5]]), bp.Box(0.0, 1.0, 2), q=2)
+        with pytest.raises(ValueError):
+            bp.range_join(bs, [[0.5, 0.5, 0.5]], 0.3)
 
 
 class TestBlocksPerSide:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 import blockpum as bp
 from blockpum.errors import (
@@ -8,6 +9,7 @@ from blockpum.errors import (
     NoActiveSubdomain,
     SingularLocalSystem,
 )
+from blockpum.kernels import phi_wendland_c2
 from blockpum.pum import _side_count
 from blockpum.validation import eval_test_function
 
@@ -58,14 +60,15 @@ class TestSubdomainRadius:
 
 class TestShepardWeights:
     def _covering(self, centers, radius):
+        centers = np.asarray(centers, float)
         d = len(centers)
+        box = bp.Box(float(centers.min()), float(centers.max()), centers.shape[1])
         return bp.Covering(
-            centers=np.asarray(centers, float),
+            centers=centers,
             radius=radius,
             node_lists=[np.array([0])] * d,
             node_dists=[np.array([0.0])] * d,
-            eval_lists=[np.empty(0, int)] * d,
-            eval_dists=[np.empty(0)] * d,
+            center_index=bp.build(bp.PointSet(centers), box, q=1),
             d_requested=d,
             n_pruned=0,
         )
@@ -109,8 +112,8 @@ class TestBuildCovering:
         cov = result.model.covering
         assert cov.d <= cov.d_requested
         covered = np.zeros(result.report.s, bool)
-        for members in cov.eval_lists:
-            covered[members] = True
+        found = bp.range_join(cov.center_index, result.eval_points, cov.radius)
+        covered[found.rows()[found.distances < cov.radius]] = True
         assert covered.all()
 
     def test_empty_subdomains_warned_and_pruned(self, unit_square_domain):
@@ -272,6 +275,96 @@ class TestPipeline:
         truth = lambda p: eval_test_function("f1", p)
         res = bp.pum_interpolate(pentagon_nodes(159994), wendland_cfg(s_r=1600, block_mode="paper"), truth=truth)
         assert 3.05e-8 <= res.report.rmse <= 3.05e-6
+
+
+def reference_predict(model, pts):
+    """Per-subdomain evaluation: index the points, one range_search per center,
+    blend subdomains in ascending order, each with its rows by (distance, row)."""
+    box = model.domain.box
+    qbs = bp.build(bp.PointSet(pts), box, bp.blocks_per_side(box.edge, model.delta, "cover"))
+    num = np.zeros(len(pts))
+    den = np.zeros(len(pts))
+    for j, center in enumerate(model.covering.centers):
+        found = bp.range_search(qbs, center, model.delta)
+        inside = found.distances < model.delta
+        members = found.indices[inside]
+        if len(members) == 0:
+            continue
+        w = phi_wendland_c2(found.distances[inside], 1.0 / model.delta)
+        local = model.kernel(cdist(pts[members], model.nodes.coords[model.covering.node_lists[j]]))
+        num[members] += w * (local @ model.fits[j].coefficients)
+        den[members] += w
+    assert den.min() > 0
+    return num / den
+
+
+def shepard_value(model, p):
+    """Brute-force blend at one point through shepard_weights."""
+    dist = np.linalg.norm(model.covering.centers - p, axis=1)
+    active = np.flatnonzero(dist < model.delta)
+    w = bp.shepard_weights(p, model.covering, active=active)
+    local = [
+        model.kernel(np.linalg.norm(model.nodes.coords[model.covering.node_lists[j]] - p, axis=1))
+        @ model.fits[j].coefficients
+        for j in active
+    ]
+    return float(np.dot(w, local))
+
+
+class TestPredictOracles:
+    def test_inbox_bitwise_equal_to_per_subdomain_path(self, pentagon_run, rng):
+        nodes, result = pentagon_run
+        pts = np.vstack([nodes.coords[::7], rng.random((400, 2)) * 0.4 + 0.3])
+        assert np.array_equal(result.model.predict(pts), reference_predict(result.model, pts))
+
+    def test_pum_interpolate_bitwise_equal_to_per_subdomain_path(self, pentagon_run):
+        _, result = pentagon_run
+        assert np.array_equal(result.values, reference_predict(result.model, result.eval_points))
+
+    def test_out_of_box_matches_shepard_oracle(self):
+        pts = bp.halton(900, 2)
+        nodes = pts.with_values(eval_test_function("f1", pts.coords))
+        model = bp.fit_model(nodes, wendland_cfg())
+        box = model.domain.box
+        along = np.linspace(box.lo, box.hi, 40)
+        gap = 0.1 * model.delta  # centers sit about 0.77 delta inside the box
+        probes = np.vstack(
+            [
+                np.column_stack([np.full(40, box.lo - gap), along]),
+                np.column_stack([along, np.full(40, box.hi + gap)]),
+                [[box.hi + 0.5 * gap, box.lo - 0.5 * gap]],
+            ]
+        )
+        probes = probes[cdist(probes, model.covering.centers).min(axis=1) < model.delta]
+        assert len(probes) >= 40
+        got = model.predict(probes)
+        want = [shepard_value(model, p) for p in probes]
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+class TestPredictInput:
+    def test_wrong_dimension_raises(self, pentagon_run):
+        _, result = pentagon_run
+        with pytest.raises(ValueError):
+            result.model.predict([[0.5, 0.5, 0.5]])
+
+    @pytest.mark.parametrize("on_uncovered", ["raise", "nearest"])
+    def test_nonfinite_raises(self, pentagon_run, on_uncovered):
+        _, result = pentagon_run
+        with pytest.raises(ValueError):
+            result.model.predict([[0.5, np.nan]], on_uncovered=on_uncovered)
+        with pytest.raises(ValueError):
+            result.model.predict([[np.inf, 0.5]], on_uncovered=on_uncovered)
+
+    def test_empty_batch(self, pentagon_run):
+        _, result = pentagon_run
+        assert result.model.predict(np.empty((0, 2))).shape == (0,)
+
+
+@pytest.mark.parametrize("threads", [0, -2])
+def test_config_rejects_nonpositive_threads(threads):
+    with pytest.raises(ValueError):
+        wendland_cfg(threads=threads)
 
 
 class TestSparseLocalPath:

@@ -84,6 +84,15 @@ class TestMetrics:
         truth = np.zeros(len(errors))
         assert mae(truth, errors) >= rmse(truth, errors) - 1e-12
 
+    def test_rmse_of_equal_errors_not_above_mae(self):
+        # unscaled, the mean of the squares rounds up and rmse exceeds mae by one ulp
+        errors = [428079.6953125] * 3
+        assert rmse(np.zeros(3), errors) <= mae(np.zeros(3), errors)
+
+    def test_rmse_of_nonfinite_errors(self):
+        assert np.isnan(rmse([0.0, 0.0], [1.0, np.nan]))
+        assert rmse([0.0, 0.0], [1.0, np.inf]) == np.inf
+
     def test_rmse_permutation_invariant(self, rng):
         truth = rng.random(40)
         approx = truth + rng.normal(0, 0.1, 40)
