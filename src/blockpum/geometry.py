@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
-from scipy.spatial.distance import cdist
+from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .errors import DegenerateInput, EmptyReduction
 
@@ -43,6 +42,8 @@ class PointSet:
             values = np.ascontiguousarray(values, dtype=float)
             if values.shape != (len(coords),):
                 raise ValueError("values must be parallel to points")
+            if not np.all(np.isfinite(values)):
+                raise ValueError("values must be finite")
             values.setflags(write=False)
         self.values = values
 
@@ -214,17 +215,13 @@ def fill_distance(nodes: PointSet, probes: PointSet) -> float:
     """Largest distance from any probe to its nearest node.
 
     With probes forming a dense grid in the domain this approximates the
-    fill distance of the node set.
+    fill distance of the node set. Nearest nodes come from a k-d tree:
+    unlike a fixed-radius block join, it needs no search radius for probes
+    far from every node.
     """
     if len(nodes) == 0 or len(probes) == 0:
         raise ValueError("nodes and probes must be nonempty")
     if nodes.dim != probes.dim:
         raise ValueError("dimension mismatch")
-    # chunk the probe rows so the pairwise matrix stays within ~128 MB
-    chunk = max(1, int(2**24 // max(len(nodes), 1)))
-    worst = 0.0
-    for start in range(0, len(probes), chunk):
-        block = probes.coords[start : start + chunk]
-        nearest = cdist(block, nodes.coords).min(axis=1)
-        worst = max(worst, float(nearest.max()))
-    return worst
+    nearest, _ = cKDTree(nodes.coords).query(probes.coords)
+    return float(nearest.max())

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 import blockpum as bp
 from blockpum.errors import DegenerateInput, EmptyReduction
@@ -150,7 +151,22 @@ class TestGridOnRect:
         assert np.allclose(grid.coords, [[0.5, 0.5]])
 
 
+def brute_fill_distance(nodes, probes):
+    """Oracle: every probe against every node."""
+    return float(cdist(probes.coords, nodes.coords).min(axis=1).max())
+
+
 class TestFillDistance:
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([2, 3]), st.integers(1, 300), st.integers(1, 400))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_brute_force(self, seed, dim, n_nodes, n_probes):
+        rng = np.random.default_rng(seed)
+        # clustered nodes, probes reaching well outside them
+        nodes = bp.PointSet(rng.random((n_nodes, dim)) ** 3)
+        probes = bp.PointSet(rng.random((n_probes, dim)) * 3.0 - 1.0)
+        assert bp.fill_distance(nodes, probes) == brute_fill_distance(nodes, probes)
+        assert bp.fill_distance(nodes, nodes) == 0.0
+
     def test_square_corners(self):
         corners = bp.PointSet([[0, 0], [1, 0], [0, 1], [1, 1]])
         probes = bp.grid_on_rect(bp.Rect(np.zeros(2), np.ones(2)), 101**2)
@@ -186,6 +202,11 @@ class TestPointSet:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             bp.PointSet([[0.0, np.nan]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_values_rejected(self, bad):
+        with pytest.raises(ValueError, match="values must be finite"):
+            bp.PointSet([[0.0, 0.0], [1.0, 1.0]], [1.0, bad])
 
     def test_coords_read_only(self):
         pts = bp.PointSet([[0.0, 0.0]])

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 import blockpum as bp
@@ -9,11 +13,13 @@ from blockpum.errors import (
     NoActiveSubdomain,
     SingularLocalSystem,
 )
+from blockpum.geometry import membership_mask
 from blockpum.kernels import phi_wendland_c2
-from blockpum.pum import _side_count
+from blockpum.pum import BLEND_STEP_ENTRIES, _side_count
+from blockpum.reconstruct import OrientedCloud, default_step, grid_coords, reconstruct
 from blockpum.validation import eval_test_function
 
-from conftest import pentagon_vertices
+from conftest import fibonacci_sphere, pentagon_vertices
 
 
 def pentagon_nodes(raw_n, func="f1"):
@@ -230,14 +236,14 @@ class TestPipeline:
         before = model.predict([p])[0]
         dist = np.linalg.norm(model.covering.centers - p, axis=1)
         far = np.flatnonzero(dist > model.delta)
-        saved = [model.fits[j].coefficients for j in far]
+        table = model.members
+        far_rows = np.concatenate([np.arange(table.ptr[j], table.ptr[j + 1]) for j in far])
+        saved = table.coefficients[far_rows]
         try:
-            for j in far:
-                model.fits[j].coefficients = model.fits[j].coefficients * 1e6
+            table.coefficients[far_rows] = saved * 1e6
             after = model.predict([p])[0]
         finally:
-            for j, c in zip(far, saved):
-                model.fits[j].coefficients = c
+            table.coefficients[far_rows] = saved
         assert after == before
 
     def test_evaluate_outside_raises(self, pentagon_run):
@@ -250,6 +256,15 @@ class TestPipeline:
         vals, report = bp.evaluate(result.model, nodes.coords[:50], truth=nodes.values[:50])
         assert report.s == 50
         assert report.mae <= 1e-6
+
+    @pytest.mark.parametrize("fit", [bp.fit_model, bp.pum_interpolate])
+    def test_duplicate_sites_raise(self, fit):
+        pts = pentagon_nodes(600)
+        coords = np.vstack([pts.coords, pts.coords[[41, 7, 41]]])
+        nodes = bp.PointSet(coords, np.r_[pts.values, pts.values[[41, 7, 41]]])
+        n = len(pts)
+        with pytest.raises(ValueError, match=f"data site {n} duplicates data site 41"):
+            fit(nodes, wendland_cfg(s_r=400))
 
     def test_values_required(self):
         pts = bp.PointSet([[0.1, 0.2], [0.3, 0.4], [0.5, 0.1]])
@@ -277,13 +292,18 @@ class TestPipeline:
         assert 3.05e-8 <= res.report.rmse <= 3.05e-6
 
 
-def reference_predict(model, pts):
+def _per_subdomain(model, pts):
     """Per-subdomain evaluation: index the points, one range_search per center,
-    blend subdomains in ascending order, each with its rows by (distance, row)."""
+    blend subdomains in ascending order, each with its rows by (distance, row).
+
+    Returns the Shepard numerator and denominator, and the weighted sum of
+    |phi(|p - x_jk|) c_jk| over every local term.
+    """
     box = model.domain.box
     qbs = bp.build(bp.PointSet(pts), box, bp.blocks_per_side(box.edge, model.delta, "cover"))
     num = np.zeros(len(pts))
     den = np.zeros(len(pts))
+    mag = np.zeros(len(pts))
     for j, center in enumerate(model.covering.centers):
         found = bp.range_search(qbs, center, model.delta)
         inside = found.distances < model.delta
@@ -294,8 +314,29 @@ def reference_predict(model, pts):
         local = model.kernel(cdist(pts[members], model.nodes.coords[model.covering.node_lists[j]]))
         num[members] += w * (local @ model.fits[j].coefficients)
         den[members] += w
+        mag[members] += w * np.abs(local * model.fits[j].coefficients).sum(axis=1)
     assert den.min() > 0
+    return num, den, mag
+
+
+def reference_predict(model, pts):
+    num, den, _ = _per_subdomain(model, pts)
     return num / den
+
+
+def rounding_bound(model, pts):
+    """2 n_max eps m(p), with m(p) = sum_j w_j(p) sum_k |phi(|p - x_jk|) c_jk| and
+    normalized weights w_j: the standard bound for these sums added in another
+    order. The local coefficients cancel heavily (m reaches ~1e3 on the 2D
+    pentagon and ~5e9 on a 3D sphere reconstruction), so no flat tolerance fits."""
+    _, den, mag = _per_subdomain(model, pts)
+    n_max = max(len(members) for members in model.covering.node_lists)
+    return 2 * n_max * np.finfo(float).eps * mag / den
+
+
+def assert_within_rounding(got, model, pts):
+    want = reference_predict(model, pts)
+    assert np.all(np.abs(got - want) <= rounding_bound(model, pts))
 
 
 def shepard_value(model, p):
@@ -311,15 +352,71 @@ def shepard_value(model, p):
     return float(np.dot(w, local))
 
 
+def step_split(model, pts):
+    """Per touched subdomain: does it hold more than BLEND_STEP_ENTRIES entries for this batch?"""
+    _, subs, _ = model.covering.active(pts)
+    present, counts = np.unique(subs, return_counts=True)
+    return counts * np.diff(model.members.ptr)[present] > BLEND_STEP_ENTRIES
+
+
+def blend_model(seed, dim, clustered):
+    """Fit on random sites; clustered sets put a quarter of them in one tight blob,
+    so local sizes run from ~10 to ~180 and a batch holds subdomains on both
+    sides of BLEND_STEP_ENTRIES."""
+    rng = np.random.default_rng(seed)
+    n = 300 if dim == 2 else 600
+    pts = rng.random((n, dim))
+    if clustered:
+        pts[: n // 4] = rng.random(dim) * 0.6 + 0.2 + 0.04 * rng.standard_normal((n // 4, dim))
+    nodes = bp.PointSet(pts, np.sin(3 * pts[:, 0]) + pts[:, 1] ** 2)
+    cfg = wendland_cfg(d_r=None if dim == 2 else 216)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EmptySubdomainPruned)
+        model = bp.fit_model(nodes, cfg)
+    # data sites (cluster sites first), then uniform points, kept where inside the hull and covered
+    batch = np.vstack([pts[:8], pts[rng.choice(n, 12)], rng.random((60, dim))])
+    batch = batch[membership_mask(model.domain, batch)]
+    rows, _, _ = model.covering.active(batch)
+    return model, batch[np.unique(rows)]
+
+
 class TestPredictOracles:
-    def test_inbox_bitwise_equal_to_per_subdomain_path(self, pentagon_run, rng):
+    def test_inbox_within_rounding_of_per_subdomain_path(self, pentagon_run, rng):
         nodes, result = pentagon_run
         pts = np.vstack([nodes.coords[::7], rng.random((400, 2)) * 0.4 + 0.3])
-        assert np.array_equal(result.model.predict(pts), reference_predict(result.model, pts))
+        assert_within_rounding(result.model.predict(pts), result.model, pts)
 
-    def test_pum_interpolate_bitwise_equal_to_per_subdomain_path(self, pentagon_run):
+    def test_pum_interpolate_within_rounding_of_per_subdomain_path(self, pentagon_run):
         _, result = pentagon_run
-        assert np.array_equal(result.values, reference_predict(result.model, result.eval_points))
+        assert_within_rounding(result.values, result.model, result.eval_points)
+
+    def test_large_subdomains_bitwise_equal_to_per_subdomain_path(self):
+        # a sphere reconstruction on its grid: every touched subdomain holds
+        # thousands of entries, so all take the matrix-vector step
+        dirs = fibonacci_sphere(1000)
+        points = 0.5 + 0.4 * dirs
+        cloud = OrientedCloud(points=points, normals=dirs, step=default_step(points))
+        result = reconstruct(cloud, bp.PumConfig(kernel=bp.make_kernel("wu-c4", 0.1)), grid_shape=(32, 32, 32))
+        model = result.model
+        grid = grid_coords(result.rect, result.grid_shape)
+        grid = grid[np.unique(model.covering.active(grid)[0])]
+        assert step_split(model, grid).all()
+        assert np.array_equal(model.predict(grid), reference_predict(model, grid))
+
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([2, 3]), st.booleans())
+    @settings(max_examples=12, deadline=None)
+    def test_blend_property(self, seed, dim, clustered):
+        model, batch = blend_model(seed, dim, clustered)
+        if clustered:
+            split = step_split(model, batch)
+            assert split.any() and not split.all()
+        got = model.predict(batch)
+        assert_within_rounding(got, model, batch)
+        # one-point batches: the split depends on the batch, so alone a point may take the other path
+        bound = rounding_bound(model, batch)
+        alone = np.array([model.predict(p[None, :])[0] for p in batch])
+        assert np.all(np.abs(alone - got) <= bound)
+        assert model.predict(np.empty((0, dim))).shape == (0,)
 
     def test_out_of_box_matches_shepard_oracle(self):
         pts = bp.halton(900, 2)

@@ -4,14 +4,7 @@ import pytest
 import blockpum as bp
 from blockpum.reconstruct import OrientedCloud, augment, default_step, grid_coords, reconstruct
 
-
-def fibonacci_sphere(n):
-    i = np.arange(n)
-    golden = np.pi * (3.0 - np.sqrt(5.0))
-    z = 1.0 - (2.0 * i + 1.0) / n
-    r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    theta = golden * i
-    return np.column_stack([r * np.cos(theta), r * np.sin(theta), z])
+from conftest import fibonacci_sphere
 
 
 @pytest.fixture(scope="module")
