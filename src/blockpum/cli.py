@@ -8,7 +8,6 @@ files additionally carry wall-clock timings.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -66,12 +65,6 @@ def generate_nodes(shape: str, n_raw: int, skip: int = 0, func: str | None = Non
     return pts
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    return max(1, int(os.environ.get("PUM_THREADS", "1")))
-
-
 def _eval_grid_count(args, dim: int) -> int:
     if args.eval_grid is None:
         return 1600 if dim == 2 else 8000
@@ -108,7 +101,7 @@ def cmd_interpolate(args) -> int:
         d_r=args.d_r,
         s_r=_eval_grid_count(args, nodes.dim),
         block_mode=args.block_mode,
-        threads=_threads(args),
+        threads=args.threads,
     )
     result = pum_interpolate(nodes, cfg, truth=truth)
     report = result.report.as_dict()
@@ -164,7 +157,7 @@ def cmd_reconstruct(args) -> int:
         kernel=make_kernel(args.kernel, args.epsilon),
         d_r=args.d_r,
         block_mode=args.block_mode,
-        threads=_threads(args),
+        threads=args.threads,
     )
     shape = io.parse_grid_spec(args.grid)
     if len(shape) != 3:
@@ -202,7 +195,7 @@ def cmd_separatrix_demo(args) -> int:
     cfg = PumConfig(
         kernel=make_kernel("wendland-c2", args.epsilon),
         s_r=_eval_grid_count(args, 2),
-        threads=_threads(args),
+        threads=args.threads,
     )
     result = pum_interpolate(nodes, cfg)
     report = result.report.as_dict()
@@ -236,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--threads", type=int, default=None, help="worker cap (or PUM_THREADS)")
+        p.add_argument("--threads", type=int, default=1, help="worker cap for the local solves")
         p.add_argument("--report", default=None, help="write a JSON report here")
 
     p = sub.add_parser("interpolate", help="scattered-data interpolation run")

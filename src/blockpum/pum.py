@@ -2,18 +2,21 @@
 
 Subdomain centers are laid out as a grid on the bounding rectangle, reduced
 to the hull, and given a common radius tied to the grid resolution. All
-point-in-subdomain queries run through the block structure, local kernel
-systems are solved per subdomain, and local fits are blended with Shepard
-weights into the global interpolant. Each lookup is one batched block join:
-centers against the data-site index at fit, points against the center
-index (built once at fit) whenever the interpolant is evaluated.
+point-in-subdomain queries run through the block structure, one small
+dense kernel system is solved per subdomain, and local fits are blended
+with Shepard weights into the global interpolant. Each lookup is one
+batched block join: centers against the data-site index at fit, points
+against the center index (built once at fit) whenever the interpolant is
+evaluated.
 
-A fitted model also keeps its local fits as one member table in compressed
-sparse rows (member coordinates and coefficients, subdomain after
-subdomain), so evaluation never walks the per-subdomain lists. Each
-evaluation splits its touched subdomains by the (point, member) entries
-they hold in that call: subdomains at or below ``BLEND_STEP_ENTRIES`` are
-blended together in vectorized passes over their entries, larger ones
+A fitted model keeps its local fits in one place, a member table in
+compressed sparse rows (member coordinates and coefficients, subdomain
+after subdomain, plus one condition number per subdomain), so evaluation
+never walks the per-subdomain lists. The Shepard blend and the
+nearest-subdomain fallback get their local values from the same routine,
+which splits the touched subdomains by the (point, member) entries they
+hold in that call: subdomains at or below ``BLEND_STEP_ENTRIES`` are
+evaluated together in vectorized passes over their entries, larger ones
 keep one distance/kernel/matrix-vector step each, where BLAS beats the
 per-entry gathers.
 """
@@ -26,10 +29,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg import solve as lin_solve
-from scipy.sparse.linalg import LinearOperator, onenormest, splu
 from scipy.spatial.distance import cdist
 
 from .blockpart import BlockStructure, blocks_per_side, build, range_join
@@ -41,7 +42,6 @@ from .errors import (
     SingularLocalSystem,
 )
 from .geometry import (
-    Box,
     ConvexDomain,
     PointSet,
     convex_hull,
@@ -49,13 +49,8 @@ from .geometry import (
     grid_on_rect,
     reduce_to_domain,
 )
-from .kernels import Kernel, phi_wendland_c2, sparse_distance_matrix
-
-# Exact SVD condition numbers up to this size; 1-norm estimate beyond.
-COND_SVD_LIMIT = 2000
-
-# Sparse local assembly pays off only for large, genuinely sparse systems.
-SPARSE_MIN_POINTS = 256
+from .kernels import Kernel, phi_wendland_c2
+from .validation import mae, rmse
 
 # Fill-distance probes are subsampled beyond this count.
 FILL_PROBE_CAP = 20000
@@ -112,7 +107,6 @@ class Covering:
     centers: np.ndarray
     radius: float
     node_lists: list
-    node_dists: list
     center_index: BlockStructure
     d_requested: int
     n_pruned: int
@@ -143,25 +137,38 @@ class MemberTable:
     """All local fits in compressed sparse rows.
 
     Subdomain j's members are rows ``ptr[j]:ptr[j+1]`` of ``coords``, with
-    their interpolation ``coefficients`` alongside, in node-list order.
+    their interpolation ``coefficients`` alongside, in node-list order;
+    ``cond[j]`` is the 2-norm condition number of its kernel matrix.
     """
 
     ptr: np.ndarray
     coords: np.ndarray
     coefficients: np.ndarray
+    cond: np.ndarray
 
     @classmethod
-    def of(cls, nodes: PointSet, covering: Covering, fits: list) -> "MemberTable":
-        sizes = [len(members) for members in covering.node_lists]
+    def of(cls, nodes: PointSet, node_lists: list, fits: list) -> "MemberTable":
+        sizes = [len(members) for members in node_lists]
         return cls(
             ptr=np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))),
-            coords=nodes.coords[np.concatenate(covering.node_lists)],
+            coords=nodes.coords[np.concatenate(node_lists)],
             coefficients=np.concatenate([fit.coefficients for fit in fits]),
+            cond=np.array([fit.cond for fit in fits]),
         )
 
 
 @dataclass
 class RunReport:
+    """Metrics of one evaluation of a fitted model.
+
+    ``timings`` holds the fit's ``t_structure_s``, ``t_search_s`` and
+    ``t_solve_s`` as recorded in ``PumModel.build_timings``, plus
+    ``t_eval_s``, the seconds spent computing the values at the evaluation
+    points, and ``t_total_s``, the fit's ``t_total_s`` plus ``t_eval_s``.
+    The error metrics and the fill distance are computed afterwards and
+    are in neither.
+    """
+
     n: int
     d: int
     s: int
@@ -253,7 +260,7 @@ def _memberships(bs: BlockStructure, centers: np.ndarray, radius: float):
     found = range_join(bs, centers, radius)
     inside = found.distances < radius
     cuts = np.cumsum(np.bincount(found.rows()[inside], minlength=len(centers)))[:-1]
-    return np.split(found.indices[inside], cuts), np.split(found.distances[inside], cuts)
+    return np.split(found.indices[inside], cuts)
 
 
 def build_covering(nodes: PointSet, dom: ConvexDomain, cfg: PumConfig, eval_points=None) -> Covering:
@@ -294,7 +301,7 @@ def _build_covering(nodes, dom, cfg, eval_coords):
             warnings.warn(
                 f"covering too fine for the data, retrying with d_r={d_r}",
                 EmptySubdomainPruned,
-                stacklevel=3,
+                stacklevel=4,
             )
 
 
@@ -312,7 +319,7 @@ def _build_covering_once(nodes, dom, cfg, eval_coords, d_r):
     nodes_bs = build(nodes, dom.box, q)
     t1 = time.perf_counter()
 
-    node_lists, node_dists = _memberships(nodes_bs, centers, delta)
+    node_lists = _memberships(nodes_bs, centers, delta)
     occupied = [j for j, members in enumerate(node_lists) if len(members)]
     n_pruned = len(centers) - len(occupied)
     if n_pruned:
@@ -326,7 +333,6 @@ def _build_covering_once(nodes, dom, cfg, eval_coords, d_r):
         centers=centers,
         radius=delta,
         node_lists=[node_lists[j] for j in occupied],
-        node_dists=[node_dists[j] for j in occupied],
         center_index=build(PointSet(centers), dom.box, blocks_per_side(dom.box.edge, delta, "cover")),
         d_requested=d_r_actual,
         n_pruned=n_pruned,
@@ -351,36 +357,18 @@ def _build_covering_once(nodes, dom, cfg, eval_coords, d_r):
     return covering, extras
 
 
-def _cond_dense(phi: np.ndarray) -> float:
-    sv = np.linalg.svd(phi, compute_uv=False)
-    if sv[-1] <= 0:
-        return float("inf")
-    return float(sv[0] / sv[-1])
-
-
-def _cond_sparse(csr) -> float:
-    # 1-norm estimate; only hit when the local system exceeds COND_SVD_LIMIT
-    lu = splu(csr.tocsc())
-    op = LinearOperator(
-        csr.shape,
-        matvec=lu.solve,
-        rmatvec=lambda x: lu.solve(x, trans="T"),
-        dtype=csr.dtype,
-    )
-    return float(onenormest(csr) * onenormest(op))
-
-
 def local_solve(coords: np.ndarray, values: np.ndarray, kernel: Kernel, index: int = 0) -> LocalFit:
-    """Solve the local kernel system on one subdomain (dense path).
+    """Solve the dense local kernel system on one subdomain.
 
     Tries the symmetric positive-definite factorization first, falls back
     to a pivoted symmetric solve, and reports the 2-norm condition number.
     """
     phi = kernel(cdist(coords, coords))
+    sv = np.linalg.svd(phi, compute_uv=False)
+    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
     try:
         coef = cho_solve(cho_factor(phi, check_finite=False), values, check_finite=False)
     except np.linalg.LinAlgError:
-        cond = _cond_dense(phi) if len(coords) <= COND_SVD_LIMIT else float("inf")
         try:
             coef = lin_solve(phi, values, assume_a="sym", check_finite=False)
         except np.linalg.LinAlgError as exc:
@@ -389,70 +377,40 @@ def local_solve(coords: np.ndarray, values: np.ndarray, kernel: Kernel, index: i
             ) from exc
     if not np.all(np.isfinite(coef)):
         raise SingularLocalSystem(f"subdomain {index}: non-finite coefficients")
-    if len(coords) <= COND_SVD_LIMIT:
-        cond = _cond_dense(phi)
-    else:
-        cond = _cond_sparse(sp.csr_matrix(phi))
     return LocalFit(index=index, coefficients=coef, cond=max(cond, 1.0))
 
 
-def _local_solve_sparse(coords, values, kernel, index) -> LocalFit:
-    """Sparse local assembly and solve for narrow supports on large subdomains."""
-    lo = float(coords.min())
-    hi = float(coords.max())
-    local = PointSet(coords)
-    q = blocks_per_side(hi - lo, kernel.support_radius, "cover")
-    bs = build(local, Box(lo=lo, hi=hi, dim=local.dim), q)
-    mat = sparse_distance_matrix(local, local, kernel, bs).to_csr()
-    try:
-        lu = splu(mat.tocsc())
-        coef = lu.solve(values)
-    except RuntimeError as exc:
-        raise SingularLocalSystem(f"subdomain {index}: sparse factorization failed") from exc
-    if not np.all(np.isfinite(coef)):
-        raise SingularLocalSystem(f"subdomain {index}: non-finite coefficients")
-    if len(coords) <= COND_SVD_LIMIT:
-        cond = _cond_dense(mat.toarray())
-    else:
-        cond = _cond_sparse(mat)
-    return LocalFit(index=index, coefficients=coef, cond=max(cond, 1.0))
-
-
-def _fit_subdomains(nodes, covering, kernel, threads) -> list:
-    coords = nodes.coords
-    values = nodes.values
-    delta = covering.radius
+def _fit_subdomains(nodes, covering, kernel, threads) -> MemberTable:
+    """Solve every subdomain's local system; the fits come back as one member table."""
 
     def fit_one(j):
         members = covering.node_lists[j]
-        local_coords = coords[members]
-        local_values = values[members]
-        if len(members) >= SPARSE_MIN_POINTS and kernel.support_radius <= delta:
-            return _local_solve_sparse(local_coords, local_values, kernel, j)
-        return local_solve(local_coords, local_values, kernel, j)
+        return local_solve(nodes.coords[members], nodes.values[members], kernel, j)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fit_one, range(covering.d)))
-    return [fit_one(j) for j in range(covering.d)]
+            fits = list(pool.map(fit_one, range(covering.d)))
+    else:
+        fits = [fit_one(j) for j in range(covering.d)]
+    return MemberTable.of(nodes, covering.node_lists, fits)
 
 
 @dataclass
 class PumModel:
-    """A fitted partition-of-unity interpolant."""
+    """A fitted partition-of-unity interpolant.
+
+    ``build_timings`` holds the fit's ``t_structure_s``, ``t_search_s``,
+    ``t_solve_s`` and ``t_total_s``.
+    """
 
     domain: ConvexDomain
     kernel: Kernel
     config: PumConfig
     covering: Covering
-    fits: list
+    members: MemberTable = field(repr=False)
     nodes: PointSet
     q: int
-    build_timings: dict = field(default_factory=dict)
-    members: MemberTable = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.members = MemberTable.of(self.nodes, self.covering, self.fits)
+    build_timings: dict
 
     @property
     def delta(self) -> float:
@@ -491,26 +449,15 @@ class PumModel:
 
         The active (point, subdomain) pairs go by subdomain, then distance,
         then row, and both sums accumulate pair by pair in that order, so
-        every point adds its subdomains in ascending order. Subdomains with
-        at most BLEND_STEP_ENTRIES (point, member) entries in this call get
-        their local values from the vectorized pass; larger ones from one
-        matrix-vector product each, which rounds by row position, so this
-        fixed order keeps their values reproducible to the last bit.
+        every point adds its subdomains in ascending order. Subdomains
+        taking one matrix-vector product in ``_local_values`` round by row
+        position, so this fixed order keeps their values reproducible to
+        the last bit.
         """
         rows, subs, dists = self.covering.active(points)
         order = np.lexsort((rows, dists, subs))
         rows, subs, dists = rows[order], subs[order], dists[order]
-        table = self.members
-        present, firsts, counts = np.unique(subs, return_index=True, return_counts=True)
-        step = counts * np.diff(table.ptr)[present] > BLEND_STEP_ENTRIES
-        local = np.empty(len(rows))
-        small = ~np.repeat(step, counts)
-        if small.any():
-            local[small] = self._local_values(points, rows[small], subs[small])
-        for j, lo, n in zip(present[step], firsts[step], counts[step]):
-            a, b = table.ptr[j], table.ptr[j + 1]
-            at = points[rows[lo : lo + n]]
-            local[lo : lo + n] = self.kernel(cdist(at, table.coords[a:b])) @ table.coefficients[a:b]
+        local = self._local_values(points, rows, subs)
         w = phi_wendland_c2(dists, 1.0 / self.delta)
         num = np.zeros(len(points))
         den = np.zeros(len(points))
@@ -519,7 +466,27 @@ class PumModel:
         return num, den
 
     def _local_values(self, points, rows, subs):
-        """Local fit of subdomain ``subs[i]`` at ``points[rows[i]]``, in passes of BLEND_CHUNK entries."""
+        """Local fit of subdomain ``subs[i]`` at ``points[rows[i]]``; ``subs`` must be ascending.
+
+        Subdomains with at most BLEND_STEP_ENTRIES (point, member) entries
+        in this call go through the vectorized pass; larger ones get one
+        matrix-vector product each, over their rows in the given order.
+        """
+        table = self.members
+        present, firsts, counts = np.unique(subs, return_index=True, return_counts=True)
+        step = counts * np.diff(table.ptr)[present] > BLEND_STEP_ENTRIES
+        local = np.empty(len(rows))
+        small = ~np.repeat(step, counts)
+        if small.any():
+            local[small] = self._vectorized_values(points, rows[small], subs[small])
+        for j, lo, n in zip(present[step], firsts[step], counts[step]):
+            a, b = table.ptr[j], table.ptr[j + 1]
+            at = points[rows[lo : lo + n]]
+            local[lo : lo + n] = self.kernel(cdist(at, table.coords[a:b])) @ table.coefficients[a:b]
+        return local
+
+    def _vectorized_values(self, points, rows, subs):
+        """``_local_values`` for small subdomains, in passes of BLEND_CHUNK entries."""
         table = self.members
         sizes = table.ptr[subs + 1] - table.ptr[subs]
         ends = np.cumsum(sizes)
@@ -537,17 +504,15 @@ class PumModel:
         return out
 
     def _predict_nearest(self, pts):
-        vals = np.empty(len(pts))
+        """Local fit of the subdomain with the nearest center, taken with weight one."""
         nearest = cdist(pts, self.covering.centers).argmin(axis=1)
-        for j in np.unique(nearest):
-            rows = np.flatnonzero(nearest == j)
-            local = self.kernel(cdist(pts[rows], self.nodes.coords[self.covering.node_lists[j]]))
-            vals[rows] = local @ self.fits[j].coefficients
+        order = np.argsort(nearest, kind="stable")
+        vals = np.empty(len(pts))
+        vals[order] = self._local_values(pts, order, nearest[order])
         return vals
 
     def conditioning(self):
-        conds = np.array([f.cond for f in self.fits])
-        return float(conds.max()), float(conds.mean())
+        return float(self.members.cond.max()), float(self.members.cond.mean())
 
 
 @dataclass
@@ -573,33 +538,44 @@ def _check_nodes(nodes: PointSet) -> None:
         )
 
 
-def fit_model(nodes: PointSet, cfg: PumConfig) -> PumModel:
-    """Fit the interpolant without attaching an evaluation set."""
+def _fit(nodes: PointSet, cfg: PumConfig, eval_points=None, with_eval: bool = False):
+    """The fit pipeline: node checks, hull, covering, local solves, model.
+
+    With ``with_eval``, the evaluation points (``eval_points``, or the
+    config's reduced grid on the hull) must all lie in the covering; they
+    are returned with the model, else None is.
+    """
     t_begin = time.perf_counter()
     _check_nodes(nodes)
     t0 = time.perf_counter()
     dom = convex_hull(nodes)
     t_hull = time.perf_counter() - t0
-    covering, extras = _build_covering(nodes, dom, cfg, None)
+    eval_coords = _resolve_eval(dom, cfg, eval_points) if with_eval else None
+    covering, extras = _build_covering(nodes, dom, cfg, eval_coords)
     t0 = time.perf_counter()
-    fits = _fit_subdomains(nodes, covering, cfg.kernel, cfg.threads)
+    members = _fit_subdomains(nodes, covering, cfg.kernel, cfg.threads)
     t_solve = time.perf_counter() - t0
     model = PumModel(
         domain=dom,
         kernel=cfg.kernel,
         config=cfg,
         covering=covering,
-        fits=fits,
+        members=members,
         nodes=nodes,
         q=extras["q"],
+        build_timings={
+            "t_structure_s": t_hull + extras["t_structure_s"],
+            "t_search_s": extras["t_search_s"],
+            "t_solve_s": t_solve,
+            "t_total_s": time.perf_counter() - t_begin,
+        },
     )
-    model.build_timings = {
-        "t_structure_s": t_hull + extras["t_structure_s"],
-        "t_search_s": extras["t_search_s"],
-        "t_solve_s": t_solve,
-        "t_total_s": time.perf_counter() - t_begin,
-    }
-    return model
+    return model, eval_coords
+
+
+def fit_model(nodes: PointSet, cfg: PumConfig) -> PumModel:
+    """Fit the interpolant without attaching an evaluation set."""
+    return _fit(nodes, cfg)[0]
 
 
 def pum_interpolate(nodes: PointSet, cfg: PumConfig, eval_points=None, truth=None) -> PumResult:
@@ -609,70 +585,35 @@ def pum_interpolate(nodes: PointSet, cfg: PumConfig, eval_points=None, truth=Non
     evaluation grid on the bounding rectangle; ``truth`` (callable or
     array) enables the error metrics in the report.
     """
-    t_begin = time.perf_counter()
-    _check_nodes(nodes)
-    t0 = time.perf_counter()
-    dom = convex_hull(nodes)
-    t_hull = time.perf_counter() - t0
-
-    eval_coords = _resolve_eval(dom, cfg, eval_points)
-    covering, extras = _build_covering(nodes, dom, cfg, eval_coords)
-
-    t0 = time.perf_counter()
-    fits = _fit_subdomains(nodes, covering, cfg.kernel, cfg.threads)
-    t_solve = time.perf_counter() - t0
-
-    model = PumModel(
-        domain=dom,
-        kernel=cfg.kernel,
-        config=cfg,
-        covering=covering,
-        fits=fits,
-        nodes=nodes,
-        q=extras["q"],
-    )
-    t0 = time.perf_counter()
-    num, den = model._blend(eval_coords)
-    values = num / den
-    t_eval = time.perf_counter() - t0
-
-    report = _make_report(model, eval_coords, values, truth)
-    report.timings = {
-        "t_structure_s": t_hull + extras["t_structure_s"],
-        "t_search_s": extras["t_search_s"],
-        "t_solve_s": t_solve,
-        "t_eval_s": t_eval,
-        "t_total_s": time.perf_counter() - t_begin,
-    }
-    model.build_timings = dict(report.timings)
+    model, eval_coords = _fit(nodes, cfg, eval_points, with_eval=True)
+    values, report = _evaluate(model, eval_coords, truth, "raise")
     return PumResult(values=values, report=report, model=model, eval_points=eval_coords)
 
 
 def evaluate(model: PumModel, eval_points, truth=None):
     """Evaluate a fitted model at given points and report metrics."""
-    t_begin = time.perf_counter()
+    return _evaluate(model, eval_points, truth, "raise")
+
+
+def _evaluate(model: PumModel, eval_points, truth, on_uncovered: str):
+    """Values of ``model.predict`` at the points, and their report.
+
+    The timings follow the rule in the RunReport docstring.
+    """
     eval_coords = np.atleast_2d(np.asarray(eval_points, dtype=float))
-    values = model.predict(eval_coords, on_uncovered="raise")
-    report = _make_report(model, eval_coords, values, truth)
-    report.timings = dict(model.build_timings)
-    report.timings["t_eval_s"] = time.perf_counter() - t_begin
-    report.timings["t_total_s"] = report.timings.get("t_total_s", 0.0) + report.timings["t_eval_s"]
-    return values, report
-
-
-def _make_report(model, eval_coords, values, truth) -> RunReport:
-    from .validation import mae as mae_fn
-    from .validation import rmse as rmse_fn
+    t0 = time.perf_counter()
+    values = model.predict(eval_coords, on_uncovered=on_uncovered)
+    t_eval = time.perf_counter() - t0
 
     mae_val = rmse_val = None
     if truth is not None:
         truth_vals = truth(eval_coords) if callable(truth) else np.asarray(truth, dtype=float)
-        mae_val = mae_fn(truth_vals, values)
-        rmse_val = rmse_fn(truth_vals, values)
+        mae_val = mae(truth_vals, values)
+        rmse_val = rmse(truth_vals, values)
     max_cond, av_cond = model.conditioning()
     stride = max(1, int(np.ceil(len(eval_coords) / FILL_PROBE_CAP)))
     fd = fill_distance(model.nodes, PointSet(eval_coords[::stride]))
-    return RunReport(
+    report = RunReport(
         n=len(model.nodes),
         d=model.covering.d,
         s=len(eval_coords),
@@ -683,7 +624,13 @@ def _make_report(model, eval_coords, values, truth) -> RunReport:
         max_cond=max_cond,
         av_cond=av_cond,
         fill_dist=fd,
+        timings=dict(
+            model.build_timings,
+            t_eval_s=t_eval,
+            t_total_s=model.build_timings["t_total_s"] + t_eval,
+        ),
     )
+    return values, report
 
 
 def audit_partition_of_unity(model: PumModel, points) -> float:

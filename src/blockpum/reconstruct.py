@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import PointSet, Rect
-from .pum import PumConfig, PumModel, RunReport, _make_report, fit_model
+from .pum import PumConfig, PumModel, RunReport, _evaluate, fit_model
 
 DEFAULT_STEP_FRACTION = 0.01  # of the bounding-box edge
 
@@ -93,18 +93,10 @@ def reconstruct(cloud: OrientedCloud, cfg: PumConfig, grid_shape=(50, 50, 50)) -
     Grid points outside every subdomain (corners of the bounding rectangle
     beyond the hull) take the nearest subdomain's local fit.
     """
-    import time
-
     augmented = augment(cloud)
     model = fit_model(augmented, cfg)
     coords = grid_coords(model.domain.rect, grid_shape)
-    t0 = time.perf_counter()
-    values = model.predict(coords, on_uncovered="nearest")
-    t_eval = time.perf_counter() - t0
-    report = _make_report(model, coords, values, None)
-    report.timings = dict(model.build_timings)
-    report.timings["t_eval_s"] = t_eval
-    report.timings["t_total_s"] = report.timings.get("t_total_s", 0.0) + t_eval
+    values, report = _evaluate(model, coords, None, "nearest")
     return ReconstructionResult(
         grid_shape=tuple(grid_shape),
         rect=model.domain.rect,

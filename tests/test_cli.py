@@ -146,6 +146,13 @@ class TestInterpolateCommand:
             if not key.startswith("t_"):
                 assert reps[0][key] == reps[1][key], key
 
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_nonpositive_threads_exit_1(self, capsys, threads):
+        code = run_cli("interpolate", "--gen", "halton", "--n", "300", "--shape", "triangle",
+                       "--func", "f2", "--threads", threads)
+        assert code == 1
+        assert "threads must be >= 1" in capsys.readouterr().err
+
 
 class TestGenPointsCommand:
     def test_writes_file(self, tmp_path):

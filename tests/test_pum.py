@@ -73,7 +73,6 @@ class TestShepardWeights:
             centers=centers,
             radius=radius,
             node_lists=[np.array([0])] * d,
-            node_dists=[np.array([0.0])] * d,
             center_index=bp.build(bp.PointSet(centers), box, q=1),
             d_requested=d,
             n_pruned=0,
@@ -257,6 +256,22 @@ class TestPipeline:
         assert report.s == 50
         assert report.mae <= 1e-6
 
+    def test_report_timings_follow_one_rule(self, pentagon_run):
+        nodes, result = pentagon_run
+        _, evaluated = bp.evaluate(result.model, nodes.coords[:50])
+        dirs = fibonacci_sphere(300)
+        cloud = OrientedCloud(points=0.5 + 0.4 * dirs, normals=dirs, step=0.05)
+        cfg = bp.PumConfig(kernel=bp.make_kernel("wu-c4", 1.0), d_r=216)
+        rec = reconstruct(cloud, cfg, grid_shape=(8, 8, 8))
+        for report, model in ((result.report, result.model), (evaluated, result.model), (rec.report, rec.model)):
+            fit = model.build_timings
+            assert set(fit) == {"t_structure_s", "t_search_s", "t_solve_s", "t_total_s"}
+            assert set(report.timings) == set(fit) | {"t_eval_s"}
+            for key in ("t_structure_s", "t_search_s", "t_solve_s"):
+                assert report.timings[key] == fit[key]
+            assert report.timings["t_eval_s"] > 0
+            assert report.timings["t_total_s"] == fit["t_total_s"] + report.timings["t_eval_s"]
+
     @pytest.mark.parametrize("fit", [bp.fit_model, bp.pum_interpolate])
     def test_duplicate_sites_raise(self, fit):
         pts = pentagon_nodes(600)
@@ -292,9 +307,16 @@ class TestPipeline:
         assert 3.05e-8 <= res.report.rmse <= 3.05e-6
 
 
+def oracle_solve(model, j):
+    """Subdomain j's coefficients, solved afresh from its node list (not read from the model)."""
+    members = model.covering.node_lists[j]
+    return bp.local_solve(model.nodes.coords[members], model.nodes.values[members], model.kernel, j).coefficients
+
+
 def _per_subdomain(model, pts):
     """Per-subdomain evaluation: index the points, one range_search per center,
-    blend subdomains in ascending order, each with its rows by (distance, row).
+    one local solve per touched subdomain, blend subdomains in ascending order,
+    each with its rows by (distance, row).
 
     Returns the Shepard numerator and denominator, and the weighted sum of
     |phi(|p - x_jk|) c_jk| over every local term.
@@ -311,10 +333,11 @@ def _per_subdomain(model, pts):
         if len(members) == 0:
             continue
         w = phi_wendland_c2(found.distances[inside], 1.0 / model.delta)
+        coef = oracle_solve(model, j)
         local = model.kernel(cdist(pts[members], model.nodes.coords[model.covering.node_lists[j]]))
-        num[members] += w * (local @ model.fits[j].coefficients)
+        num[members] += w * (local @ coef)
         den[members] += w
-        mag[members] += w * np.abs(local * model.fits[j].coefficients).sum(axis=1)
+        mag[members] += w * np.abs(local * coef).sum(axis=1)
     assert den.min() > 0
     return num, den, mag
 
@@ -346,10 +369,28 @@ def shepard_value(model, p):
     w = bp.shepard_weights(p, model.covering, active=active)
     local = [
         model.kernel(np.linalg.norm(model.nodes.coords[model.covering.node_lists[j]] - p, axis=1))
-        @ model.fits[j].coefficients
+        @ oracle_solve(model, j)
         for j in active
     ]
     return float(np.dot(w, local))
+
+
+def reference_nearest(model, pts):
+    """Nearest-subdomain fallback, per subdomain: argmin over all center distances,
+    then one local solve and one matrix-vector product per chosen subdomain.
+
+    Returns the chosen subdomains, the values and the sums of |phi(|p - x_k|) c_k|.
+    """
+    nearest = cdist(pts, model.covering.centers).argmin(axis=1)
+    vals = np.empty(len(pts))
+    mag = np.empty(len(pts))
+    for j in np.unique(nearest):
+        rows = np.flatnonzero(nearest == j)
+        coef = oracle_solve(model, j)
+        local = model.kernel(cdist(pts[rows], model.nodes.coords[model.covering.node_lists[j]]))
+        vals[rows] = local @ coef
+        mag[rows] = np.abs(local * coef).sum(axis=1)
+    return nearest, vals, mag
 
 
 def step_split(model, pts):
@@ -418,6 +459,42 @@ class TestPredictOracles:
         assert np.all(np.abs(alone - got) <= bound)
         assert model.predict(np.empty((0, dim))).shape == (0,)
 
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([2, 3]), st.booleans())
+    @settings(max_examples=12, deadline=None)
+    def test_nearest_fallback_property(self, seed, dim, clustered):
+        model, _ = blend_model(seed, dim, clustered)
+        rng = np.random.default_rng([seed, 1])
+        box = model.domain.box
+        probes = rng.uniform(box.lo - 0.3, box.hi + 0.3, size=(400, dim))
+        probes = np.delete(probes, model.covering.active(probes)[0], axis=0)[:40]
+        # many copies of one probe give its subdomain more than BLEND_STEP_ENTRIES entries
+        pts = np.vstack([probes, np.repeat(probes[:1], BLEND_STEP_ENTRIES + 1, axis=0)])
+        want_sub, want, mag = reference_nearest(model, pts)
+        present, counts = np.unique(want_sub, return_counts=True)
+        split = counts * np.diff(model.members.ptr)[present] > BLEND_STEP_ENTRIES
+        assert split.any() and not split.all()
+
+        # record which subdomain the fallback evaluates at each point
+        seen = []
+        local_values = model._local_values
+
+        def spy(points, rows, subs):
+            seen.append((rows, subs))
+            return local_values(points, rows, subs)
+
+        model._local_values = spy
+        try:
+            got = model._predict_nearest(pts)
+        finally:
+            del model._local_values
+        (rows, subs), = seen
+        chosen = np.empty(len(pts), dtype=subs.dtype)
+        chosen[rows] = subs
+        assert np.array_equal(chosen, want_sub)
+        n_max = max(len(members) for members in model.covering.node_lists)
+        assert np.all(np.abs(got - want) <= 2 * n_max * np.finfo(float).eps * mag)
+        assert np.array_equal(model.predict(pts, on_uncovered="nearest"), got)
+
     def test_out_of_box_matches_shepard_oracle(self):
         pts = bp.halton(900, 2)
         nodes = pts.with_values(eval_test_function("f1", pts.coords))
@@ -462,37 +539,6 @@ class TestPredictInput:
 def test_config_rejects_nonpositive_threads(threads):
     with pytest.raises(ValueError):
         wendland_cfg(threads=threads)
-
-
-class TestSparseLocalPath:
-    # several subdomains in the 256..2000 node range: the sparse assembly
-    # branch triggers while condition numbers stay exact-SVD on both paths
-    SPARSE_CFG = dict(d_r=25, delta_override=0.45, s_r=400)
-    N_POINTS = 1200
-
-    def test_matches_dense_path(self, monkeypatch):
-        # wide subdomains + narrow support force the sparse assembly branch
-        pts = bp.halton(self.N_POINTS, 2)
-        nodes = pts.with_values(eval_test_function("f1", pts.coords))
-        cfg = bp.PumConfig(kernel=bp.make_kernel("wendland-c2", 30.0), **self.SPARSE_CFG)
-        sparse_res = bp.pum_interpolate(nodes, cfg)
-
-        import blockpum.pum as pum_mod
-
-        monkeypatch.setattr(pum_mod, "SPARSE_MIN_POINTS", 10**9)
-        dense_res = bp.pum_interpolate(nodes, cfg)
-        assert np.allclose(sparse_res.values, dense_res.values, rtol=1e-10, atol=1e-12)
-        assert sparse_res.report.max_cond == pytest.approx(dense_res.report.max_cond, rel=1e-6)
-
-    def test_sparse_branch_taken(self):
-        # sanity: config above really exceeds the sparse threshold
-        pts = bp.halton(self.N_POINTS, 2)
-        nodes = pts.with_values(eval_test_function("f1", pts.coords))
-        cfg = bp.PumConfig(kernel=bp.make_kernel("wendland-c2", 30.0), **self.SPARSE_CFG)
-        model = bp.fit_model(nodes, cfg)
-        sizes = [len(m) for m in model.covering.node_lists]
-        assert max(sizes) >= 256
-        assert cfg.kernel.support_radius <= model.delta
 
 
 class TestAutoCoarsening:
