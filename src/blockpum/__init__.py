@@ -22,6 +22,7 @@ from .errors import (
     EmptyReduction,
     EmptySubdomainPruned,
     InsufficientCoverage,
+    KernelSupportTooSmall,
     LengthMismatch,
     NoActiveSubdomain,
     PointOutsideBox,

@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--threads", type=int, default=1, help="worker cap for the local solves")
+        p.add_argument("--threads", type=int, default=1, help="no effect; will be removed")
         p.add_argument("--report", default=None, help="write a JSON report here")
 
     p = sub.add_parser("interpolate", help="scattered-data interpolation run")

@@ -2,12 +2,19 @@
 
 Subdomain centers are laid out as a grid on the bounding rectangle, reduced
 to the hull, and given a common radius tied to the grid resolution. All
-point-in-subdomain queries run through the block structure, one small
-dense kernel system is solved per subdomain, and local fits are blended
+point-in-subdomain queries run through the block structure, each
+subdomain gets one small dense kernel system, and local fits are blended
 with Shepard weights into the global interpolant. Each lookup is one
 batched block join: centers against the data-site index at fit, points
 against the center index (built once at fit) whenever the interpolant is
 evaluated.
+
+The local systems are solved in stacks: subdomains are grouped by member
+count, and each group goes through batched LAPACK calls (eigenvalues for
+the condition number, one Cholesky factorization reused for the solve)
+in chunks of at most ``BLEND_CHUNK`` matrix entries. Each matrix of a
+stack is computed as it would be alone, so ``local_solve`` on one
+subdomain reproduces the fitted coefficients bit for bit.
 
 A fitted model keeps its local fits in one place, a member table in
 compressed sparse rows (member coordinates and coefficients, subdomain
@@ -24,13 +31,11 @@ per-entry gathers.
 from __future__ import annotations
 
 import time
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg import solve as lin_solve
+from scipy.linalg.lapack import dpotrs as potrs
 from scipy.spatial.distance import cdist
 
 from .blockpart import BlockStructure, blocks_per_side, build, range_join
@@ -38,8 +43,10 @@ from .errors import (
     EmptyReduction,
     EmptySubdomainPruned,
     InsufficientCoverage,
+    KernelSupportTooSmall,
     NoActiveSubdomain,
     SingularLocalSystem,
+    warn_at_caller,
 )
 from .geometry import (
     ConvexDomain,
@@ -60,7 +67,8 @@ FILL_PROBE_CAP = 20000
 # cheaper (~30 us of Python per step against ~55 ns more per gathered entry).
 BLEND_STEP_ENTRIES = 512
 
-# (point, member) entries per vectorized blend pass, bounding its temporaries.
+# (point, member) entries per vectorized blend pass, and kernel-matrix
+# entries per batched local solve, bounding the temporaries of either.
 BLEND_CHUNK = 2**16
 
 
@@ -72,6 +80,11 @@ class PumConfig:
     on the bounding rectangle (defaults: d_r from the node density rule,
     s_r 40x40 in 2D and 20x20x20 in 3D). block_mode selects how the number
     of blocks per side follows from the subdomain radius.
+
+    ``threads`` has no effect: the local systems are solved in batches on
+    the calling thread, which beat a thread pool over the same solves.
+    It must still be at least 1, and a value above 1 raises a
+    FutureWarning, because the field will be removed.
     """
 
     kernel: Kernel
@@ -92,6 +105,11 @@ class PumConfig:
             raise ValueError("delta_override must be positive")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        if self.threads > 1:
+            warn_at_caller(
+                "PumConfig.threads has no effect (local systems are solved in batches) and will be removed",
+                FutureWarning,
+            )
 
 
 @dataclass
@@ -145,16 +163,6 @@ class MemberTable:
     coords: np.ndarray
     coefficients: np.ndarray
     cond: np.ndarray
-
-    @classmethod
-    def of(cls, nodes: PointSet, node_lists: list, fits: list) -> "MemberTable":
-        sizes = [len(members) for members in node_lists]
-        return cls(
-            ptr=np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))),
-            coords=nodes.coords[np.concatenate(node_lists)],
-            coefficients=np.concatenate([fit.coefficients for fit in fits]),
-            cond=np.array([fit.cond for fit in fits]),
-        )
 
 
 @dataclass
@@ -298,11 +306,7 @@ def _build_covering(nodes, dom, cfg, eval_coords):
             if not auto or n_side <= 1:
                 raise
             d_r = max(1, n_side // 2) ** nodes.dim
-            warnings.warn(
-                f"covering too fine for the data, retrying with d_r={d_r}",
-                EmptySubdomainPruned,
-                stacklevel=4,
-            )
+            warn_at_caller(f"covering too fine for the data, retrying with d_r={d_r}", EmptySubdomainPruned)
 
 
 def _build_covering_once(nodes, dom, cfg, eval_coords, d_r):
@@ -323,10 +327,8 @@ def _build_covering_once(nodes, dom, cfg, eval_coords, d_r):
     occupied = [j for j, members in enumerate(node_lists) if len(members)]
     n_pruned = len(centers) - len(occupied)
     if n_pruned:
-        warnings.warn(
-            f"pruned {n_pruned} of {len(centers)} subdomains containing no data sites",
-            EmptySubdomainPruned,
-            stacklevel=2,
+        warn_at_caller(
+            f"pruned {n_pruned} of {len(centers)} subdomains containing no data sites", EmptySubdomainPruned
         )
     centers = centers[occupied]
     covering = Covering(
@@ -360,39 +362,97 @@ def _build_covering_once(nodes, dom, cfg, eval_coords, d_r):
 def local_solve(coords: np.ndarray, values: np.ndarray, kernel: Kernel, index: int = 0) -> LocalFit:
     """Solve the dense local kernel system on one subdomain.
 
-    Tries the symmetric positive-definite factorization first, falls back
-    to a pivoted symmetric solve, and reports the 2-norm condition number.
+    The batched solve of a fit applied to a stack of one: the same
+    coefficients and condition number, bit for bit, as the fit gives
+    this subdomain.
     """
-    phi = kernel(cdist(coords, coords))
-    sv = np.linalg.svd(phi, compute_uv=False)
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
+    coords = np.asarray(coords, dtype=float)
+    phi = _kernel_stack(coords[None], kernel)
+    coef, cond = _solve_stack(phi, np.asarray(values, dtype=float)[None], np.array([index]))
+    return LocalFit(index=index, coefficients=coef[0], cond=float(cond[0]))
+
+
+def _kernel_stack(coords, kernel):
+    """Kernel matrices of a (b, n, M) stack of member coordinates.
+
+    Squared distances accumulate one dimension at a time, so no
+    (b, n, n, M) temporary is made.
+    """
+    sq = np.zeros(coords.shape[:2] + coords.shape[1:2])
+    for k in range(coords.shape[2]):
+        diff = coords[:, :, None, k] - coords[:, None, :, k]
+        sq += diff * diff
+    return kernel(np.sqrt(sq))
+
+
+def _solve_stack(phi, values, index):
+    """Coefficients (b, n) and 2-norm condition numbers (b,) of a (b, n, n) stack.
+
+    cond = max|lambda| / min|lambda| from the eigenvalues, at least 1 and
+    inf for a singular matrix. ``index`` names the subdomains in errors.
+    """
+    lam = np.abs(np.linalg.eigvalsh(phi))
+    lo, hi = lam.min(axis=1), lam.max(axis=1)
+    cond = np.maximum(np.divide(hi, lo, out=np.full(len(lo), np.inf), where=lo > 0), 1.0)
+    coef = _factor_solve(phi, values, cond, index)
+    bad = ~np.isfinite(coef).all(axis=1)
+    if bad.any():
+        raise SingularLocalSystem(f"subdomain {index[bad.argmax()]}: non-finite coefficients")
+    return coef, cond
+
+
+def _factor_solve(phi, values, cond, index):
+    """Coefficients of a (b, n, n) stack from one batched Cholesky factorization.
+
+    The factors are upper ones and each matrix gets one LAPACK ``potrs``,
+    the calls behind scipy's ``cho_factor``/``cho_solve``; the triangular
+    solves cost O(n^2) each, less than the 2n Python steps of a
+    substitution vectorized over the stack. Where the factorization fails
+    anywhere in the stack, each matrix is solved alone, and one that is
+    not positive definite gets a pivoted symmetric solve.
+    """
     try:
-        coef = cho_solve(cho_factor(phi, check_finite=False), values, check_finite=False)
+        upper = np.linalg.cholesky(phi, upper=True)
     except np.linalg.LinAlgError:
+        if len(phi) > 1:
+            one = [slice(i, i + 1) for i in range(len(phi))]
+            return np.concatenate([_factor_solve(phi[i], values[i], cond[i], index[i]) for i in one])
         try:
-            coef = lin_solve(phi, values, assume_a="sym", check_finite=False)
+            return lin_solve(phi[0], values[0], assume_a="sym", check_finite=False)[None]
         except np.linalg.LinAlgError as exc:
-            raise SingularLocalSystem(
-                f"subdomain {index}: factorization failed (cond~{cond:.3e})"
-            ) from exc
-    if not np.all(np.isfinite(coef)):
-        raise SingularLocalSystem(f"subdomain {index}: non-finite coefficients")
-    return LocalFit(index=index, coefficients=coef, cond=max(cond, 1.0))
+            raise SingularLocalSystem(f"subdomain {index[0]}: factorization failed (cond~{cond[0]:.3e})") from exc
+    return np.stack([potrs(u, f, lower=False)[0] for u, f in zip(upper, values)])
 
 
-def _fit_subdomains(nodes, covering, kernel, threads) -> MemberTable:
-    """Solve every subdomain's local system; the fits come back as one member table."""
+def _fit_subdomains(nodes, node_lists, kernel) -> MemberTable:
+    """Solve every subdomain's local system; the fits come back as one member table.
 
-    def fit_one(j):
-        members = covering.node_lists[j]
-        return local_solve(nodes.coords[members], nodes.values[members], kernel, j)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            fits = list(pool.map(fit_one, range(covering.d)))
-    else:
-        fits = [fit_one(j) for j in range(covering.d)]
-    return MemberTable.of(nodes, covering.node_lists, fits)
+    Subdomains go by member count, in stacks of at most BLEND_CHUNK
+    kernel-matrix entries (one matrix at least). Warns KernelSupportTooSmall
+    when some subdomain has two members but no kernel matrix couples any.
+    """
+    sizes = np.array([len(members) for members in node_lists], dtype=np.int64)
+    ptr = np.concatenate(([0], np.cumsum(sizes)))
+    members = np.concatenate(node_lists)
+    coefficients = np.empty(len(members))
+    cond = np.empty(len(sizes))
+    coupled = False
+    for n in np.unique(sizes):
+        group = np.flatnonzero(sizes == n)
+        step = max(1, BLEND_CHUNK // (n * n))
+        for lo in range(0, len(group), step):
+            subs = group[lo : lo + step]
+            rows = ptr[subs, None] + np.arange(n)
+            phi = _kernel_stack(nodes.coords[members[rows]], kernel)
+            coupled = coupled or np.count_nonzero(phi) > phi.size // n
+            coefficients[rows], cond[subs] = _solve_stack(phi, nodes.values[members[rows]], subs)
+    if not coupled and sizes.max() > 1:
+        warn_at_caller(
+            f"kernel support {kernel.support_radius:g} is at or below every distance between two members "
+            "of a subdomain: every local system is diagonal and the interpolant vanishes away from the data sites",
+            KernelSupportTooSmall,
+        )
+    return MemberTable(ptr=ptr, coords=nodes.coords[members], coefficients=coefficients, cond=cond)
 
 
 @dataclass
@@ -553,7 +613,7 @@ def _fit(nodes: PointSet, cfg: PumConfig, eval_points=None, with_eval: bool = Fa
     eval_coords = _resolve_eval(dom, cfg, eval_points) if with_eval else None
     covering, extras = _build_covering(nodes, dom, cfg, eval_coords)
     t0 = time.perf_counter()
-    members = _fit_subdomains(nodes, covering, cfg.kernel, cfg.threads)
+    members = _fit_subdomains(nodes, covering.node_lists, cfg.kernel)
     t_solve = time.perf_counter() - t0
     model = PumModel(
         domain=dom,

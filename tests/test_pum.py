@@ -4,18 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import solve as lin_solve
 from scipy.spatial.distance import cdist
 
 import blockpum as bp
 from blockpum.errors import (
     EmptySubdomainPruned,
     InsufficientCoverage,
+    KernelSupportTooSmall,
     NoActiveSubdomain,
     SingularLocalSystem,
 )
 from blockpum.geometry import membership_mask
 from blockpum.kernels import phi_wendland_c2
-from blockpum.pum import BLEND_STEP_ENTRIES, _side_count
+from blockpum.pum import BLEND_CHUNK, BLEND_STEP_ENTRIES, _fit_subdomains, _side_count
 from blockpum.reconstruct import OrientedCloud, default_step, grid_coords, reconstruct
 from blockpum.validation import eval_test_function
 
@@ -125,10 +128,11 @@ class TestBuildCovering:
         # nodes only in one corner, centers spread over the square
         nodes = bp.PointSet(np.random.default_rng(3).random((30, 2)) * 0.05, np.ones(30))
         eval_pts = nodes.coords[:5]
-        with pytest.warns(EmptySubdomainPruned):
+        with pytest.warns(EmptySubdomainPruned) as record:
             cov = bp.build_covering(
                 nodes, unit_square_domain, wendland_cfg(d_r=25), eval_points=eval_pts
             )
+        assert all(w.filename == __file__ for w in record)
         assert cov.n_pruned > 0
         assert all(len(m) for m in cov.node_lists)
 
@@ -170,6 +174,138 @@ class TestLocalSolve:
     def test_cond_at_least_one(self, rng):
         fit = bp.local_solve(rng.random((10, 2)), rng.random(10), bp.make_kernel("wendland-c2", 2.0))
         assert fit.cond >= 1.0
+
+
+def reference_local_solve(coords, values, kernel, index=0):
+    """The per-subdomain solve that the batched fit replaced: cdist distances,
+    SVD condition number, scipy Cholesky with a pivoted symmetric fallback.
+
+    Returns the coefficients, the condition number and the kernel matrix.
+    """
+    phi = kernel(cdist(coords, coords))
+    sv = np.linalg.svd(phi, compute_uv=False)
+    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
+    try:
+        coef = cho_solve(cho_factor(phi, check_finite=False), values, check_finite=False)
+    except np.linalg.LinAlgError:
+        try:
+            coef = lin_solve(phi, values, assume_a="sym", check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise SingularLocalSystem(f"subdomain {index}: factorization failed (cond~{cond:.3e})") from exc
+    if not np.all(np.isfinite(coef)):
+        raise SingularLocalSystem(f"subdomain {index}: non-finite coefficients")
+    return coef, max(cond, 1.0), phi
+
+
+def assert_matches_reference(nodes, node_lists, table, kernel):
+    """Each fitted subdomain against reference_local_solve, within the bounds of a
+    backward-stable solve: relative residual 4 n eps |Phi| |c|, and, where cond <
+    1e12, coefficients within 4 n eps cond (relative) and cond within
+    max(1e-6, 4 n eps cond) (relative), since an eigenvalue solver and an SVD
+    both move min|lambda| by about eps |Phi|."""
+    eps = np.finfo(float).eps
+    for j, members in enumerate(node_lists):
+        n = len(members)
+        coef = table.coefficients[table.ptr[j] : table.ptr[j + 1]]
+        want, cond, phi = reference_local_solve(nodes.coords[members], nodes.values[members], kernel, j)
+        residual = np.linalg.norm(phi @ coef - nodes.values[members])
+        assert residual <= 4 * n * eps * np.linalg.norm(phi, 2) * np.linalg.norm(coef), j
+        if cond < 1e12:
+            assert np.linalg.norm(coef - want) <= 4 * n * eps * cond * np.linalg.norm(want), j
+            assert abs(table.cond[j] - cond) <= max(1e-6, 4 * n * eps * cond) * cond, j
+
+
+class TestBatchedSolve:
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.sampled_from([2, 3]),
+        st.sampled_from(["wendland-c2", "wu-c4"]),
+        st.lists(st.integers(1, 120), min_size=1, max_size=6),
+        st.booleans(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_matches_reference_solve(self, seed, dim, kernel_name, sizes, ill):
+        # ill-conditioned: a support of ten times the site spread makes every
+        # kernel matrix nearly flat (cond up to ~1e15); well-conditioned: a
+        # support of a third of it leaves the matrices near-diagonal
+        rng = np.random.default_rng(seed)
+        spread = 0.5 if ill else 1.0
+        sites = rng.random((240, dim)) * spread
+        nodes = bp.PointSet(sites, np.sin(3 * sites[:, 0]) + sites[:, 1] ** 2)
+        kernel = bp.make_kernel(kernel_name, 0.2 if ill else 3.0)
+        # each size taken one to three times, so stacks hold several matrices
+        node_lists = [rng.choice(len(sites), n, replace=False) for n in sizes for _ in range(rng.integers(1, 4))]
+        table = _fit_subdomains(nodes, node_lists, kernel)
+        assert_matches_reference(nodes, node_lists, table, kernel)
+
+    def test_cholesky_failure_falls_back_per_matrix(self):
+        # phi(r) = 1 - r^2 gives a positive-definite matrix for two sites
+        # closer than sqrt(2) and an indefinite, nonsingular one for two sites
+        # farther apart, so the stack's Cholesky fails yet every system solves
+        profile = lambda r: 1.0 - np.asarray(r) ** 2
+        sites = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 1.0], [0.3, 1.0], [2.0, 0.0]])
+        nodes = bp.PointSet(sites, np.array([1.0, -2.0, 0.5, 3.0, 0.25]))
+        node_lists = [np.array(m) for m in ([0, 1], [0, 4], [2, 3])]
+        table = _fit_subdomains(nodes, node_lists, profile)
+        assert_matches_reference(nodes, node_lists, table, profile)
+        for j, members in enumerate(node_lists):
+            fit = bp.local_solve(sites[members], nodes.values[members], profile, j)
+            assert np.array_equal(fit.coefficients, table.coefficients[2 * j : 2 * j + 2])
+            assert fit.cond == table.cond[j]
+
+    def test_singular_member_of_a_stack_raises_with_its_index(self):
+        sites = np.array([[0.1, 0.1], [0.5, 0.5], [0.2, 0.6], [0.7, 0.1]])
+        nodes = bp.PointSet(sites, np.ones(4))
+        # subdomain 1 holds site 2 twice
+        node_lists = [np.array(m) for m in ([0, 1, 3], [2, 2, 1], [3, 0, 2])]
+        with pytest.raises(SingularLocalSystem, match="subdomain 1: factorization failed"):
+            _fit_subdomains(nodes, node_lists, bp.make_kernel("wendland-c2", 0.5))
+
+    def test_fit_bitwise_equal_to_local_solve(self):
+        # a uniform set with a tight cluster: many member counts, and groups
+        # large enough to be split across chunks
+        rng = np.random.default_rng(11)
+        pts = np.vstack([rng.random((8000, 2)), 0.5 + 0.03 * rng.standard_normal((1000, 2))])
+        nodes = bp.PointSet(pts, np.sin(3 * pts[:, 0]) + pts[:, 1] ** 2)
+        model = bp.fit_model(nodes, wendland_cfg())
+        lists = model.covering.node_lists
+        sizes, counts = np.unique([len(m) for m in lists], return_counts=True)
+        assert len(sizes) >= 20
+        assert (counts * sizes**2 > BLEND_CHUNK).any()
+        table = model.members
+        for j, members in enumerate(lists):
+            fit = bp.local_solve(pts[members], nodes.values[members], model.kernel, j)
+            assert np.array_equal(fit.coefficients, table.coefficients[table.ptr[j] : table.ptr[j + 1]])
+            assert fit.cond == table.cond[j]
+
+    def test_tiny_kernel_support_warns(self):
+        nodes = pentagon_nodes(600)
+        with pytest.warns(KernelSupportTooSmall) as record:
+            bp.fit_model(nodes, wendland_cfg(kernel=bp.make_kernel("wendland-c2", 1e6)))
+        assert all(w.filename == __file__ for w in record)
+
+    def test_workload_kernel_support_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", KernelSupportTooSmall)
+            bp.fit_model(pentagon_nodes(600), wendland_cfg(s_r=1600))
+
+
+class TestWarningLocation:
+    """Warnings from deep inside the package name the caller's line (build_covering
+    and pum_interpolate: TestBuildCovering, TestAutoCoarsening)."""
+
+    def test_fit_model(self):
+        with pytest.warns(EmptySubdomainPruned) as record:
+            bp.fit_model(bp.PointSet(bp.halton(4, 2).coords, np.ones(4)), wendland_cfg(d_r=64))
+        assert all(w.filename == __file__ for w in record)
+
+    def test_reconstruct(self):
+        dirs = fibonacci_sphere(300)
+        points = 0.5 + 0.4 * dirs
+        cloud = OrientedCloud(points=points, normals=dirs, step=default_step(points))
+        with pytest.warns(EmptySubdomainPruned) as record:
+            reconstruct(cloud, bp.PumConfig(kernel=bp.make_kernel("wu-c4", 0.1), d_r=512), grid_shape=(8, 8, 8))
+        assert all(w.filename == __file__ for w in record)
 
 
 class TestPipeline:
@@ -214,10 +350,13 @@ class TestPipeline:
                 assert d1[key] == d2[key], key
 
     def test_threads_match_serial(self):
+        # the field is inert and slated for removal, so setting it warns
         nodes = pentagon_nodes(600)
         truth = lambda p: eval_test_function("f1", p)
         r1 = bp.pum_interpolate(nodes, wendland_cfg(s_r=400, threads=1), truth=truth)
-        r2 = bp.pum_interpolate(nodes, wendland_cfg(s_r=400, threads=4), truth=truth)
+        with pytest.warns(FutureWarning, match="threads"):
+            cfg = wendland_cfg(s_r=400, threads=4)
+        r2 = bp.pum_interpolate(nodes, cfg, truth=truth)
         assert np.array_equal(r1.values, r2.values)
 
     def test_paper_mode_runs_close_to_cover_mode(self):
@@ -544,8 +683,10 @@ def test_config_rejects_nonpositive_threads(threads):
 class TestAutoCoarsening:
     def test_sparse_nodes_retry_until_covered(self):
         nodes = bp.PointSet(bp.halton(4, 2).coords, np.ones(4))
-        with pytest.warns(EmptySubdomainPruned):
+        with pytest.warns(EmptySubdomainPruned) as record:
             res = bp.pum_interpolate(nodes, wendland_cfg())
+        assert any("retrying" in str(w.message) for w in record)
+        assert all(w.filename == __file__ for w in record)
         assert np.isfinite(res.values).all()
 
     def test_explicit_d_r_still_raises(self):
