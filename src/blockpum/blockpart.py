@@ -7,14 +7,19 @@ most one block width only ever has to look at the query's block and its
 strip numbering k = sum_m (k_m - 1) q^(M-m) + k_M.
 
 ``range_search`` answers one query. ``range_join`` answers a whole batch
-in one vectorized pass: for each of the 3^M block offsets it gathers the
-(query, stored point) candidate pairs straight from the bucket bounds,
+in one vectorized pass. A block's 3^M neighbours form 3^(M-1) runs of
+``sorted_idx``, because the blocks k-1, k, k+1 along the last axis hold
+consecutive buckets; a per-block table of these runs, built on the first
+join and kept with the structure, costs 2 * 3^(M-1) integers per block
+(48 B in 2D, 144 B in 3D) whatever the point count. The join looks up
+one block per query, gathers all candidate pairs from its runs at once,
 filters them by distance and returns the hits as compressed sparse rows,
 each row exactly what ``range_search`` gives for that query.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -89,6 +94,28 @@ class BlockStructure:
 
     def bucket_sizes(self) -> np.ndarray:
         return np.diff(self.starts)
+
+    @functools.cached_property
+    def neighbor_runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(first, size)`` of the ``sorted_idx`` runs around every block.
+
+        Row k-1 of either (q^M, 3^(M-1)) array describes block k: run r
+        is ``sorted_idx[first[k-1, r] : first[k-1, r] + size[k-1, r]]``,
+        the buckets of the neighbours with offset ``r`` on the first M-1
+        axes and -1, 0, +1 (clamped to the grid) on the last. Runs leaving
+        the grid have size 0. Built in one vectorized pass on first use.
+        """
+        q, dim = self.q, self.dim
+        strips = np.indices((q,) * dim).reshape(dim, -1).T + 1  # row k-1 holds block k's strips
+        offsets = np.array(list(itertools.product((-1, 0, 1), repeat=dim - 1)), dtype=np.int64)
+        lead = strips[:, None, :-1] + offsets
+        valid = ((lead >= 1) & (lead <= q)).all(axis=2)
+        # block k of a line along the last axis is line + k_M
+        line = (_block_codes(np.clip(lead, 1, q).reshape(-1, dim - 1), q) - 1).reshape(valid.shape) * q
+        last = strips[:, -1:]
+        first = self.starts[line + np.maximum(last - 1, 1) - 1]
+        size = self.starts[line + np.minimum(last + 1, q)] - first
+        return np.where(valid, first, 0), np.where(valid, size, 0)
 
 
 def strip_index(coord: float, axis_min: float, width: float, q: int) -> int:
@@ -234,19 +261,20 @@ def range_join(bs: BlockStructure, queries, radius: float) -> JoinResult:
     """``range_search`` for every row of ``queries`` in one vectorized pass.
 
     Row i of the result equals ``range_search(bs, queries[i], radius)``:
-    same indices, same distances, same (distance, index) order. Queries
+    same indices, same distances, same (distance, index) order, and the
+    same candidates examined. Each query's candidates are the runs of its
+    block in ``bs.neighbor_runs``, built on the first join. Queries
     outside the box are clamped for the block lookup only.
     """
     queries = np.asarray(queries, dtype=float)
     if queries.ndim != 2 or queries.shape[1] != bs.dim:
         raise ValueError(f"queries must be (n, {bs.dim}), got shape {queries.shape}")
-    offsets = np.array(list(itertools.product((-1, 0, 1), repeat=bs.dim)), dtype=np.int64)
     counts = np.zeros(len(queries), dtype=np.int64)
     indices, distances = [np.empty(0, dtype=np.int64)], [np.empty(0)]
     candidates = 0
     for lo in range(0, len(queries), JOIN_CHUNK):
         chunk = queries[lo : lo + JOIN_CHUNK]
-        rows, idx, dist, examined = _join_chunk(bs, chunk, radius, offsets)
+        rows, idx, dist, examined = _join_chunk(bs, chunk, radius)
         counts[lo : lo + len(chunk)] = np.bincount(rows, minlength=len(chunk))
         indices.append(idx)
         distances.append(dist)
@@ -255,24 +283,20 @@ def range_join(bs: BlockStructure, queries, radius: float) -> JoinResult:
     return JoinResult(indptr, np.concatenate(indices), np.concatenate(distances), candidates)
 
 
-def _join_chunk(bs: BlockStructure, queries: np.ndarray, radius: float, offsets: np.ndarray):
+def _join_chunk(bs: BlockStructure, queries: np.ndarray, radius: float):
     """Hits of one chunk as (row, index, distance), sorted by (row, distance, index)."""
+    firsts, sizes = bs.neighbor_runs
     strips = _strip_matrix(np.clip(queries, bs.box.lo, bs.box.hi), bs.box, bs.width, bs.q)
-    rows, firsts, sizes = [], [], []
-    for off in offsets:
-        nb = strips + off
-        valid = np.flatnonzero(((nb >= 1) & (nb <= bs.q)).all(axis=1))
-        k = _block_codes(nb[valid], bs.q)
-        rows.append(valid)
-        firsts.append(bs.starts[k - 1])
-        sizes.append(bs.starts[k] - bs.starts[k - 1])
-    rows, firsts, sizes = map(np.concatenate, (rows, firsts, sizes))
-    # candidate t of a (query, block) run sits at sorted_idx[first + t]
+    blocks = _block_codes(strips, bs.q) - 1
+    sizes = np.take(sizes, blocks, axis=0)
+    firsts = np.take(firsts, blocks, axis=0).ravel()
+    rows = np.repeat(np.arange(len(queries)), sizes.sum(axis=1))
+    sizes = sizes.ravel()
+    # candidate t of a (query, run) pair sits at sorted_idx[first + t]
     run_ends = np.cumsum(sizes)
     pos = np.arange(run_ends[-1]) + np.repeat(firsts - run_ends + sizes, sizes)
     cand = bs.sorted_idx[pos]
-    rows = np.repeat(rows, sizes)
-    delta = bs.points[cand] - queries[rows]
+    delta = np.take(bs.points, cand, axis=0) - np.take(queries, rows, axis=0)
     dist = np.sqrt(np.einsum("ij,ij->i", delta, delta))
     keep = dist <= radius
     rows, cand, dist = rows[keep], cand[keep], dist[keep]

@@ -18,6 +18,10 @@ from .errors import DegenerateInput, EmptyReduction
 # Relative half-space tolerance: boundary points count as inside.
 HULL_TOL_REL = 1e-12
 
+# (point, facet) entries per pass of membership_mask: the pass's temporaries
+# stay in cache instead of spanning every point times every facet.
+MASK_CHUNK = 2**16
+
 _HALTON_BASES = (2, 3, 5)
 
 
@@ -148,8 +152,17 @@ def contains(dom: ConvexDomain, p) -> bool:
 
 
 def membership_mask(dom: ConvexDomain, coords: np.ndarray) -> np.ndarray:
-    """Vectorized in-hull test for a (n, dim) coordinate array."""
-    return np.all(coords @ dom.normals.T + dom.offsets <= dom.tol, axis=1)
+    """Vectorized in-hull test for a (n, dim) coordinate array, in cache-sized passes over the points.
+
+    BLAS may round a half-space value by the rows of its pass, so a point
+    whose value lies within rounding of the tolerance can fall on either
+    side; every other point gets the answer of a single pass.
+    """
+    step = max(1, MASK_CHUNK // len(dom.normals))
+    mask = np.empty(len(coords), dtype=bool)
+    for lo in range(0, len(coords), step):
+        mask[lo : lo + step] = np.all(coords[lo : lo + step] @ dom.normals.T + dom.offsets <= dom.tol, axis=1)
+    return mask
 
 
 def reduce_to_domain(pts: PointSet, dom: ConvexDomain) -> PointSet:

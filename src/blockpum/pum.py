@@ -5,9 +5,10 @@ to the hull, and given a common radius tied to the grid resolution. All
 point-in-subdomain queries run through the block structure, each
 subdomain gets one small dense kernel system, and local fits are blended
 with Shepard weights into the global interpolant. Each lookup is one
-batched block join: centers against the data-site index at fit, points
-against the center index (built once at fit) whenever the interpolant is
-evaluated.
+batched block join, answered from the block structure's table of
+neighbour runs: centers against the data-site index at fit, points
+against the center index (built once at fit, its run table on the first
+evaluation) whenever the interpolant is evaluated.
 
 The local systems are solved in stacks: subdomains are grouped by member
 count, and each group goes through batched LAPACK calls (eigenvalues for
@@ -26,6 +27,10 @@ hold in that call: subdomains at or below ``BLEND_STEP_ENTRIES`` are
 evaluated together in vectorized passes over their entries, larger ones
 keep one distance/kernel/matrix-vector step each, where BLAS beats the
 per-entry gathers.
+
+Rows of (n, M) coordinate arrays are gathered with ``np.take(..., axis=0)``
+on every hot path: it copies the same values as fancy indexing at a
+fraction of its cost on such narrow rows.
 """
 
 from __future__ import annotations
@@ -64,7 +69,11 @@ FILL_PROBE_CAP = 20000
 
 # A touched subdomain with at most this many (point, member) entries in one
 # evaluation joins the vectorized blend; above it, its own BLAS step is
-# cheaper (~30 us of Python per step against ~55 ns more per gathered entry).
+# cheaper. With np.take gathers a step costs ~13-21 us of Python against
+# ~15-30 ns more per gathered entry (2-vCPU x86 host, numpy 2.4), which puts
+# the break-even at ~700-1100 entries. The value stays at 512 all the same:
+# moving it would switch subdomains between the two paths, which round
+# differently.
 BLEND_STEP_ENTRIES = 512
 
 # (point, member) entries per vectorized blend pass, and kernel-matrix
@@ -443,7 +452,7 @@ def _fit_subdomains(nodes, node_lists, kernel) -> MemberTable:
         for lo in range(0, len(group), step):
             subs = group[lo : lo + step]
             rows = ptr[subs, None] + np.arange(n)
-            phi = _kernel_stack(nodes.coords[members[rows]], kernel)
+            phi = _kernel_stack(np.take(nodes.coords, members[rows], axis=0), kernel)
             coupled = coupled or np.count_nonzero(phi) > phi.size // n
             coefficients[rows], cond[subs] = _solve_stack(phi, nodes.values[members[rows]], subs)
     if not coupled and sizes.max() > 1:
@@ -452,7 +461,7 @@ def _fit_subdomains(nodes, node_lists, kernel) -> MemberTable:
             "of a subdomain: every local system is diagonal and the interpolant vanishes away from the data sites",
             KernelSupportTooSmall,
         )
-    return MemberTable(ptr=ptr, coords=nodes.coords[members], coefficients=coefficients, cond=cond)
+    return MemberTable(ptr=ptr, coords=np.take(nodes.coords, members, axis=0), coefficients=coefficients, cond=cond)
 
 
 @dataclass
@@ -533,7 +542,8 @@ class PumModel:
         matrix-vector product each, over their rows in the given order.
         """
         table = self.members
-        present, firsts, counts = np.unique(subs, return_index=True, return_counts=True)
+        firsts = np.flatnonzero(np.diff(subs, prepend=-1))
+        present, counts = subs[firsts], np.diff(np.append(firsts, len(subs)))
         step = counts * np.diff(table.ptr)[present] > BLEND_STEP_ENTRIES
         local = np.empty(len(rows))
         small = ~np.repeat(step, counts)
@@ -541,7 +551,7 @@ class PumModel:
             local[small] = self._vectorized_values(points, rows[small], subs[small])
         for j, lo, n in zip(present[step], firsts[step], counts[step]):
             a, b = table.ptr[j], table.ptr[j + 1]
-            at = points[rows[lo : lo + n]]
+            at = np.take(points, rows[lo : lo + n], axis=0)
             local[lo : lo + n] = self.kernel(cdist(at, table.coords[a:b])) @ table.coefficients[a:b]
         return local
 
@@ -558,7 +568,7 @@ class PumModel:
             starts = np.cumsum(n) - n
             # entry t of pair i is member row ptr[subs[i]] + (t - starts[i])
             pos = np.arange(starts[-1] + n[-1]) + np.repeat(table.ptr[subs[lo:hi]] - starts, n)
-            delta = table.coords[pos] - points[np.repeat(rows[lo:hi], n)]
+            delta = np.take(table.coords, pos, axis=0) - np.take(points, np.repeat(rows[lo:hi], n), axis=0)
             terms = self.kernel(np.sqrt(np.einsum("ij,ij->i", delta, delta))) * table.coefficients[pos]
             out[lo:hi] = np.add.reduceat(terms, starts)
         return out

@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import blockpum as bp
+from blockpum import blockpart
 from blockpum.blockpart import _block_codes, _strip_matrix
 from blockpum.errors import PointOutsideBox
 
@@ -98,8 +101,6 @@ class TestBuild:
             assert list(bs.bucket(k)) == ref.get(k, [])
 
     def test_codes_computed_in_several_passes(self, rng, monkeypatch):
-        import blockpum.blockpart as blockpart
-
         monkeypatch.setattr(blockpart, "BUILD_CHUNK", 7)
         pts = bp.PointSet(rng.random((100, 3)))
         box = bp.Box(0.0, 1.0, 3)
@@ -240,9 +241,59 @@ class TestRangeJoin:
         assert found.candidates == candidates
         assert np.array_equal(found.rows(), np.repeat(np.arange(len(queries)), np.diff(found.indptr)))
 
-    def test_spans_several_chunks(self, rng, monkeypatch):
-        import blockpum.blockpart as blockpart
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.sampled_from([2, 3]),
+        st.integers(1, 5),
+        st.lists(st.tuples(st.integers(0, 40), st.floats(0.0, 1.0)), min_size=2, max_size=4),
+        st.sampled_from([1, 3, 16, 2048]),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_repeated_joins_reuse_the_table(self, seed, dim, q, batches, chunk):
+        rng = np.random.default_rng(seed)
+        pts = rng.random((rng.integers(1, 120), dim)) * rng.choice([1.0, 0.3])
+        bs = bp.build(bp.PointSet(pts), bp.Box(0.0, 1.0, dim), q=q)
+        tables = []
+        with mock.patch.object(blockpart, "JOIN_CHUNK", chunk):
+            for size, fraction in batches:
+                radius = fraction * bs.width
+                queries = np.vstack([rng.uniform(-0.5, 1.5, (size, dim)), pts[: size // 4]])
+                found = bp.range_join(bs, queries, radius)
+                candidates = 0
+                for i, center in enumerate(queries):
+                    want = bp.range_search(bs, center, radius)
+                    hits = slice(found.indptr[i], found.indptr[i + 1])
+                    assert np.array_equal(found.indices[hits], want.indices)
+                    assert np.array_equal(found.distances[hits], want.distances)
+                    candidates += want.candidates
+                assert found.candidates == candidates
+                tables.append(bs.neighbor_runs)
+        assert all(t is tables[0] for t in tables)
 
+    def test_build_and_range_search_leave_the_table_unbuilt(self, rng):
+        pts = bp.PointSet(rng.random((200, 3)))
+        bs = bp.build(pts, bp.Box(0.0, 1.0, 3), q=4)
+        assert "neighbor_runs" not in vars(bs)
+        for center in rng.random((5, 3)):
+            bp.range_search(bs, center, 0.2)
+        assert "neighbor_runs" not in vars(bs)
+        bp.range_join(bs, rng.random((5, 3)), 0.2)
+        assert "neighbor_runs" in vars(bs)
+
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([2, 3]), st.integers(1, 6))
+    @settings(max_examples=30, deadline=None)
+    def test_table_shape_and_runs(self, seed, dim, q):
+        rng = np.random.default_rng(seed)
+        bs = bp.build(bp.PointSet(rng.random((rng.integers(0, 200), dim))), bp.Box(0.0, 1.0, dim), q=q)
+        first, size = bs.neighbor_runs
+        # one row per block, one run per offset on the first M-1 axes, whatever the points
+        assert first.shape == size.shape == (q**dim, 3 ** (dim - 1))
+        for k in range(1, q**dim + 1):
+            runs = [bs.sorted_idx[f : f + n] for f, n in zip(first[k - 1], size[k - 1])]
+            want = [bs.bucket(j) for j in bp.neighborhood_of(bs, k).block_ids]
+            assert sorted(np.concatenate(runs).tolist()) == sorted(np.concatenate(want).tolist())
+
+    def test_spans_several_chunks(self, rng, monkeypatch):
         monkeypatch.setattr(blockpart, "JOIN_CHUNK", 7)
         pts = bp.PointSet(rng.random((300, 2)))
         bs = bp.build(pts, bp.Box(0.0, 1.0, 2), q=5)

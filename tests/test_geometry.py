@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 import blockpum as bp
+from blockpum import geometry
 from blockpum.errors import DegenerateInput, EmptyReduction
 
 from conftest import pentagon_vertices
@@ -97,6 +100,41 @@ class TestReduce:
         once = bp.reduce_to_domain(pts, pentagon_domain)
         twice = bp.reduce_to_domain(once, pentagon_domain)
         assert np.array_equal(once.coords, twice.coords)
+
+
+class TestMembershipMask:
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([2, 3]), st.sampled_from([1, 5, 64, 2**16]))
+    @settings(max_examples=40, deadline=None)
+    def test_passes_match_one_shot(self, seed, dim, chunk):
+        rng = np.random.default_rng(seed)
+        dom = bp.convex_hull(bp.PointSet(rng.random((rng.integers(dim + 3, 60), dim))))
+        # probes projected onto random facet planes, then moved along the
+        # normal by 0, +-tol/2, +-tol and +-2 tol
+        facets = rng.integers(0, len(dom.normals), 40)
+        normals = dom.normals[facets]
+        raw = rng.uniform(-0.2, 1.2, (40, dim))
+        on_facet = raw - (np.einsum("ij,ij->i", normals, raw) + dom.offsets[facets])[:, None] * normals
+        shifts = rng.choice([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0], 40) * dom.tol
+        moved = on_facet + shifts[:, None] * normals
+        coords = np.vstack([rng.uniform(-0.2, 1.2, (40, dim)), dom.vertices, on_facet, moved])
+        values = coords @ dom.normals.T + dom.offsets
+        want = np.all(values <= dom.tol, axis=1)
+        # BLAS blocks the product by the rows of each pass, so a half-space
+        # value may round differently in its last bits; only points with a
+        # value within that rounding of the tolerance may change sides
+        rounding = 8 * np.finfo(float).eps * (np.abs(coords) @ np.abs(dom.normals.T) + np.abs(dom.offsets) + dom.tol)
+        undecided = (np.abs(values - dom.tol) <= rounding).any(axis=1)
+        with mock.patch.object(geometry, "MASK_CHUNK", chunk):
+            got = geometry.membership_mask(dom, coords)
+        assert got.dtype == bool
+        assert np.array_equal(got[~undecided], want[~undecided])
+        # only the probes moved out by exactly tol sit on the tolerance
+        assert undecided.sum() <= np.count_nonzero(shifts == dom.tol)
+        # hull vertices lie on facets, and the boundary counts as inside
+        assert got[40 : 40 + len(dom.vertices)].all()
+
+    def test_empty_batch(self, pentagon_domain):
+        assert geometry.membership_mask(pentagon_domain, np.empty((0, 2))).shape == (0,)
 
 
 class TestHalton:
