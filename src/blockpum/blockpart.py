@@ -300,7 +300,15 @@ def _join_chunk(bs: BlockStructure, queries: np.ndarray, radius: float):
     dist = np.sqrt(np.einsum("ij,ij->i", delta, delta))
     keep = dist <= radius
     rows, cand, dist = rows[keep], cand[keep], dist[keep]
-    order = np.lexsort((cand, dist, rows))
+    # complex values sort by real part, then imaginary part: one argsort
+    # orders the hits by (row, distance), rows being exact in float64. Only
+    # equal (row, distance) pairs need the index as a third key.
+    key = np.empty(len(rows), dtype=complex)
+    key.real, key.imag = rows, dist
+    order = np.argsort(key)
+    key = key[order]
+    if (key[1:] == key[:-1]).any():
+        order = np.lexsort((cand, dist, rows))
     return rows[order], cand[order], dist[order], len(pos)
 
 

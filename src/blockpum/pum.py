@@ -11,22 +11,26 @@ against the center index (built once at fit, its run table on the first
 evaluation) whenever the interpolant is evaluated.
 
 The local systems are solved in stacks: subdomains are grouped by member
-count, and each group goes through batched LAPACK calls (eigenvalues for
-the condition number, one Cholesky factorization reused for the solve)
-in chunks of at most ``BLEND_CHUNK`` matrix entries. Each matrix of a
-stack is computed as it would be alone, so ``local_solve`` on one
-subdomain reproduces the fitted coefficients bit for bit.
+count, and each group goes through one batched Cholesky factorization
+and one LAPACK triangular solve per matrix, in chunks of at most
+``BLEND_CHUNK`` matrix entries. Each matrix of a stack is computed as it
+would be alone, so ``local_solve`` on one subdomain reproduces the fitted
+coefficients bit for bit.
 
 A fitted model keeps its local fits in one place, a member table in
 compressed sparse rows (member coordinates and coefficients, subdomain
-after subdomain, plus one condition number per subdomain), so evaluation
-never walks the per-subdomain lists. The Shepard blend and the
-nearest-subdomain fallback get their local values from the same routine,
-which splits the touched subdomains by the (point, member) entries they
-hold in that call: subdomains at or below ``BLEND_STEP_ENTRIES`` are
-evaluated together in vectorized passes over their entries, larger ones
-keep one distance/kernel/matrix-vector step each, where BLAS beats the
-per-entry gathers.
+after subdomain), so evaluation never walks the per-subdomain lists. The
+condition numbers of the local systems are a diagnostic only: fitting
+and predicting never compute them. The table computes them, from
+eigenvalues of the same stacks, the first time they are read, and keeps
+them.
+
+The Shepard blend and the nearest-subdomain fallback get their local
+values from the same routine, which splits the touched subdomains by the
+(point, member) entries they hold in that call: subdomains at or below
+``BLEND_STEP_ENTRIES`` are evaluated together in vectorized passes over
+their entries, larger ones keep one distance/kernel/matrix-vector step
+each, where BLAS beats the per-entry gathers.
 
 Rows of (n, M) coordinate arrays are gathered with ``np.take(..., axis=0)``
 on every hot path: it copies the same values as fancy indexing at a
@@ -35,6 +39,7 @@ fraction of its cost on such narrow rows.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -79,6 +84,11 @@ BLEND_STEP_ENTRIES = 512
 # (point, member) entries per vectorized blend pass, and kernel-matrix
 # entries per batched local solve, bounding the temporaries of either.
 BLEND_CHUNK = 2**16
+
+# A block index over n points gets at most GRID_BLOCKS_PER_POINT * n blocks.
+# A tiny radius would otherwise ask for (edge/radius)^M bucket counters;
+# fewer, wider blocks keep every search complete.
+GRID_BLOCKS_PER_POINT = 8
 
 
 @dataclass(frozen=True)
@@ -165,13 +175,26 @@ class MemberTable:
 
     Subdomain j's members are rows ``ptr[j]:ptr[j+1]`` of ``coords``, with
     their interpolation ``coefficients`` alongside, in node-list order;
-    ``cond[j]`` is the 2-norm condition number of its kernel matrix.
+    ``kernel`` is the kernel they were fitted with.
     """
 
     ptr: np.ndarray
     coords: np.ndarray
     coefficients: np.ndarray
-    cond: np.ndarray
+    kernel: Kernel = field(repr=False)
+
+    @functools.cached_property
+    def cond(self) -> np.ndarray:
+        """2-norm condition number of every subdomain's kernel matrix.
+
+        Computed on first read and cached: the kernel matrices are rebuilt
+        in the stacks of the fit, so the values are those ``local_solve``
+        gives, bit for bit.
+        """
+        cond = np.empty(len(self.ptr) - 1)
+        for subs, rows in _size_stacks(self.ptr):
+            cond[subs] = _stack_cond(_kernel_stack(np.take(self.coords, rows, axis=0), self.kernel))
+        return cond
 
 
 @dataclass
@@ -184,6 +207,10 @@ class RunReport:
     points, and ``t_total_s``, the fit's ``t_total_s`` plus ``t_eval_s``.
     The error metrics and the fill distance are computed afterwards and
     are in neither.
+
+    ``max_cond`` and ``av_cond`` read the condition numbers of the model's
+    member table, computed on the first read and cached, so a report whose
+    conditioning nobody reads costs no eigenvalues.
     """
 
     n: int
@@ -193,13 +220,20 @@ class RunReport:
     q: int
     mae: float | None
     rmse: float | None
-    max_cond: float
-    av_cond: float
     fill_dist: float
+    members: MemberTable = field(repr=False, compare=False)
     rate: float | None = None
     timings: dict = field(default_factory=dict)
 
     _TIMING_KEYS = ("t_structure_s", "t_search_s", "t_solve_s", "t_eval_s", "t_total_s")
+
+    @property
+    def max_cond(self) -> float:
+        return float(self.members.cond.max())
+
+    @property
+    def av_cond(self) -> float:
+        return float(self.members.cond.mean())
 
     def as_dict(self) -> dict:
         out = {
@@ -318,6 +352,15 @@ def _build_covering(nodes, dom, cfg, eval_coords):
             warn_at_caller(f"covering too fine for the data, retrying with d_r={d_r}", EmptySubdomainPruned)
 
 
+def _capped_blocks(q: int, n: int, dim: int) -> int:
+    """``q`` lowered until q^M <= GRID_BLOCKS_PER_POINT * max(n, 1)."""
+    limit = GRID_BLOCKS_PER_POINT * max(n, 1)
+    q = min(q, int(limit ** (1.0 / dim)) + 1)
+    while q > 1 and q**dim > limit:
+        q -= 1
+    return q
+
+
 def _build_covering_once(nodes, dom, cfg, eval_coords, d_r):
     dim = nodes.dim
     n_side = _side_count(d_r, dim)
@@ -328,23 +371,29 @@ def _build_covering_once(nodes, dom, cfg, eval_coords, d_r):
 
     t0 = time.perf_counter()
     centers = reduce_to_domain(grid_on_rect(dom.rect, d_r_actual), dom).coords
-    q = blocks_per_side(dom.box.edge, delta, cfg.block_mode)
+    q = _capped_blocks(blocks_per_side(dom.box.edge, delta, cfg.block_mode), len(nodes), dim)
     nodes_bs = build(nodes, dom.box, q)
     t1 = time.perf_counter()
 
     node_lists = _memberships(nodes_bs, centers, delta)
     occupied = [j for j, members in enumerate(node_lists) if len(members)]
+    if not occupied:
+        raise InsufficientCoverage(
+            f"none of the {len(centers)} subdomains of radius {delta:g} contains a data site; "
+            "increase the radius or the node density"
+        )
     n_pruned = len(centers) - len(occupied)
     if n_pruned:
         warn_at_caller(
             f"pruned {n_pruned} of {len(centers)} subdomains containing no data sites", EmptySubdomainPruned
         )
     centers = centers[occupied]
+    center_q = _capped_blocks(blocks_per_side(dom.box.edge, delta, "cover"), len(centers), dim)
     covering = Covering(
         centers=centers,
         radius=delta,
         node_lists=[node_lists[j] for j in occupied],
-        center_index=build(PointSet(centers), dom.box, blocks_per_side(dom.box.edge, delta, "cover")),
+        center_index=build(PointSet(centers), dom.box, center_q),
         d_requested=d_r_actual,
         n_pruned=n_pruned,
     )
@@ -377,8 +426,8 @@ def local_solve(coords: np.ndarray, values: np.ndarray, kernel: Kernel, index: i
     """
     coords = np.asarray(coords, dtype=float)
     phi = _kernel_stack(coords[None], kernel)
-    coef, cond = _solve_stack(phi, np.asarray(values, dtype=float)[None], np.array([index]))
-    return LocalFit(index=index, coefficients=coef[0], cond=float(cond[0]))
+    coef = _solve_stack(phi, np.asarray(values, dtype=float)[None], np.array([index]))
+    return LocalFit(index=index, coefficients=coef[0], cond=float(_stack_cond(phi)[0]))
 
 
 def _kernel_stack(coords, kernel):
@@ -394,23 +443,27 @@ def _kernel_stack(coords, kernel):
     return kernel(np.sqrt(sq))
 
 
-def _solve_stack(phi, values, index):
-    """Coefficients (b, n) and 2-norm condition numbers (b,) of a (b, n, n) stack.
+def _stack_cond(phi):
+    """2-norm condition numbers (b,) of a (b, n, n) stack of symmetric matrices.
 
     cond = max|lambda| / min|lambda| from the eigenvalues, at least 1 and
-    inf for a singular matrix. ``index`` names the subdomains in errors.
+    inf for a singular matrix.
     """
     lam = np.abs(np.linalg.eigvalsh(phi))
     lo, hi = lam.min(axis=1), lam.max(axis=1)
-    cond = np.maximum(np.divide(hi, lo, out=np.full(len(lo), np.inf), where=lo > 0), 1.0)
-    coef = _factor_solve(phi, values, cond, index)
+    return np.maximum(np.divide(hi, lo, out=np.full(len(lo), np.inf), where=lo > 0), 1.0)
+
+
+def _solve_stack(phi, values, index):
+    """Coefficients (b, n) of a (b, n, n) stack; ``index`` names the subdomains in errors."""
+    coef = _factor_solve(phi, values, index)
     bad = ~np.isfinite(coef).all(axis=1)
     if bad.any():
         raise SingularLocalSystem(f"subdomain {index[bad.argmax()]}: non-finite coefficients")
-    return coef, cond
+    return coef
 
 
-def _factor_solve(phi, values, cond, index):
+def _factor_solve(phi, values, index):
     """Coefficients of a (b, n, n) stack from one batched Cholesky factorization.
 
     The factors are upper ones and each matrix gets one LAPACK ``potrs``,
@@ -418,50 +471,64 @@ def _factor_solve(phi, values, cond, index):
     solves cost O(n^2) each, less than the 2n Python steps of a
     substitution vectorized over the stack. Where the factorization fails
     anywhere in the stack, each matrix is solved alone, and one that is
-    not positive definite gets a pivoted symmetric solve.
+    not positive definite gets a pivoted symmetric solve; one that fails
+    that too raises SingularLocalSystem with its condition number.
     """
     try:
         upper = np.linalg.cholesky(phi, upper=True)
     except np.linalg.LinAlgError:
         if len(phi) > 1:
             one = [slice(i, i + 1) for i in range(len(phi))]
-            return np.concatenate([_factor_solve(phi[i], values[i], cond[i], index[i]) for i in one])
+            return np.concatenate([_factor_solve(phi[i], values[i], index[i]) for i in one])
         try:
             return lin_solve(phi[0], values[0], assume_a="sym", check_finite=False)[None]
         except np.linalg.LinAlgError as exc:
-            raise SingularLocalSystem(f"subdomain {index[0]}: factorization failed (cond~{cond[0]:.3e})") from exc
+            cond = _stack_cond(phi)[0]
+            raise SingularLocalSystem(f"subdomain {index[0]}: factorization failed (cond~{cond:.3e})") from exc
     return np.stack([potrs(u, f, lower=False)[0] for u, f in zip(upper, values)])
 
 
-def _fit_subdomains(nodes, node_lists, kernel) -> MemberTable:
-    """Solve every subdomain's local system; the fits come back as one member table.
+def _size_stacks(ptr):
+    """(subdomains, member rows) of each stack of equal-size subdomains.
 
     Subdomains go by member count, in stacks of at most BLEND_CHUNK
-    kernel-matrix entries (one matrix at least). Warns KernelSupportTooSmall
-    when some subdomain has two members but no kernel matrix couples any.
+    kernel-matrix entries (one matrix at least); row i of the (b, n)
+    ``rows`` holds the member-table rows of subdomain ``subdomains[i]``.
     """
-    sizes = np.array([len(members) for members in node_lists], dtype=np.int64)
-    ptr = np.concatenate(([0], np.cumsum(sizes)))
-    members = np.concatenate(node_lists)
-    coefficients = np.empty(len(members))
-    cond = np.empty(len(sizes))
-    coupled = False
+    sizes = np.diff(ptr)
     for n in np.unique(sizes):
         group = np.flatnonzero(sizes == n)
         step = max(1, BLEND_CHUNK // (n * n))
         for lo in range(0, len(group), step):
             subs = group[lo : lo + step]
-            rows = ptr[subs, None] + np.arange(n)
-            phi = _kernel_stack(np.take(nodes.coords, members[rows], axis=0), kernel)
-            coupled = coupled or np.count_nonzero(phi) > phi.size // n
-            coefficients[rows], cond[subs] = _solve_stack(phi, nodes.values[members[rows]], subs)
+            yield subs, ptr[subs, None] + np.arange(n)
+
+
+def _fit_subdomains(nodes, node_lists, kernel) -> MemberTable:
+    """Solve every subdomain's local system; the fits come back as one member table.
+
+    The systems are solved in the stacks of ``_size_stacks``. Warns
+    KernelSupportTooSmall when some subdomain has two members but no kernel
+    matrix couples any.
+    """
+    sizes = np.array([len(members) for members in node_lists], dtype=np.int64)
+    ptr = np.concatenate(([0], np.cumsum(sizes)))
+    members = np.concatenate(node_lists)
+    coefficients = np.empty(len(members))
+    coupled = False
+    for subs, rows in _size_stacks(ptr):
+        phi = _kernel_stack(np.take(nodes.coords, members[rows], axis=0), kernel)
+        coupled = coupled or np.count_nonzero(phi) > phi.size // rows.shape[1]
+        coefficients[rows] = _solve_stack(phi, nodes.values[members[rows]], subs)
     if not coupled and sizes.max() > 1:
         warn_at_caller(
             f"kernel support {kernel.support_radius:g} is at or below every distance between two members "
             "of a subdomain: every local system is diagonal and the interpolant vanishes away from the data sites",
             KernelSupportTooSmall,
         )
-    return MemberTable(ptr=ptr, coords=np.take(nodes.coords, members, axis=0), coefficients=coefficients, cond=cond)
+    return MemberTable(
+        ptr=ptr, coords=np.take(nodes.coords, members, axis=0), coefficients=coefficients, kernel=kernel
+    )
 
 
 @dataclass
@@ -581,9 +648,6 @@ class PumModel:
         vals[order] = self._local_values(pts, order, nearest[order])
         return vals
 
-    def conditioning(self):
-        return float(self.members.cond.max()), float(self.members.cond.mean())
-
 
 @dataclass
 class PumResult:
@@ -680,7 +744,6 @@ def _evaluate(model: PumModel, eval_points, truth, on_uncovered: str):
         truth_vals = truth(eval_coords) if callable(truth) else np.asarray(truth, dtype=float)
         mae_val = mae(truth_vals, values)
         rmse_val = rmse(truth_vals, values)
-    max_cond, av_cond = model.conditioning()
     stride = max(1, int(np.ceil(len(eval_coords) / FILL_PROBE_CAP)))
     fd = fill_distance(model.nodes, PointSet(eval_coords[::stride]))
     report = RunReport(
@@ -691,9 +754,8 @@ def _evaluate(model: PumModel, eval_points, truth, on_uncovered: str):
         q=model.q,
         mae=mae_val,
         rmse=rmse_val,
-        max_cond=max_cond,
-        av_cond=av_cond,
         fill_dist=fd,
+        members=model.members,
         timings=dict(
             model.build_timings,
             t_eval_s=t_eval,

@@ -293,6 +293,27 @@ class TestRangeJoin:
             want = [bs.bucket(j) for j in bp.neighborhood_of(bs, k).block_ids]
             assert sorted(np.concatenate(runs).tolist()) == sorted(np.concatenate(want).tolist())
 
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([2, 3]), st.integers(1, 4), st.sampled_from([4, 8]))
+    @settings(max_examples=30, deadline=None)
+    def test_lattice_ties_keep_index_order(self, seed, dim, q, per_side):
+        # points and queries on a lattice of spacing 1/per_side, a power of
+        # two, so differences and distances are exact and equal distances
+        # from one query are exactly equal: the join must order them by index
+        rng = np.random.default_rng(seed)
+        lattice = np.indices((per_side + 1,) * dim).reshape(dim, -1).T / per_side
+        pts = rng.permutation(lattice)
+        bs = bp.build(bp.PointSet(pts), bp.Box(0.0, 1.0, dim), q=q)
+        radius = min(bs.width, rng.integers(1, 3) / per_side)
+        queries = rng.integers(-1, per_side + 2, (40, dim)) / per_side
+        with mock.patch.object(blockpart.np, "lexsort", wraps=np.lexsort) as fallback:
+            found = bp.range_join(bs, queries, radius)
+        assert fallback.called
+        for i, center in enumerate(queries):
+            want = bp.range_search(bs, center, radius)
+            hits = slice(found.indptr[i], found.indptr[i + 1])
+            assert np.array_equal(found.indices[hits], want.indices)
+            assert np.array_equal(found.distances[hits], want.distances)
+
     def test_spans_several_chunks(self, rng, monkeypatch):
         monkeypatch.setattr(blockpart, "JOIN_CHUNK", 7)
         pts = bp.PointSet(rng.random((300, 2)))

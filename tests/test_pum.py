@@ -9,6 +9,7 @@ from scipy.linalg import solve as lin_solve
 from scipy.spatial.distance import cdist
 
 import blockpum as bp
+from blockpum import pum as pum_module
 from blockpum.errors import (
     EmptySubdomainPruned,
     InsufficientCoverage,
@@ -18,7 +19,16 @@ from blockpum.errors import (
 )
 from blockpum.geometry import membership_mask
 from blockpum.kernels import phi_wendland_c2
-from blockpum.pum import BLEND_CHUNK, BLEND_STEP_ENTRIES, _fit_subdomains, _side_count
+from blockpum.pum import (
+    BLEND_CHUNK,
+    BLEND_STEP_ENTRIES,
+    GRID_BLOCKS_PER_POINT,
+    _capped_blocks,
+    _fit_subdomains,
+    _kernel_stack,
+    _side_count,
+    _size_stacks,
+)
 from blockpum.reconstruct import OrientedCloud, default_step, grid_coords, reconstruct
 from blockpum.validation import eval_test_function
 
@@ -147,6 +157,52 @@ class TestBuildCovering:
                 )
 
 
+class TestTinyRadius:
+    """A radius far below the site spacing: the block grids stay bounded, and a
+    covering whose subdomains hold no data site raises InsufficientCoverage."""
+
+    @staticmethod
+    def fit(delta):
+        pts = bp.halton(300, 2)
+        return bp.fit_model(pts.with_values(np.sin(3 * pts.coords[:, 0])), wendland_cfg(d_r=16, delta_override=delta))
+
+    @pytest.fixture
+    def grids(self, monkeypatch):
+        """(points, q) of every block index the fit builds."""
+        grids = []
+        build = pum_module.build
+        monkeypatch.setattr(pum_module, "build", lambda pts, box, q: grids.append((len(pts), q)) or build(pts, box, q))
+        return grids
+
+    def test_block_grids_stay_bounded(self, grids):
+        # unbounded, this radius asks for ~1e18 node-index blocks
+        with pytest.raises(InsufficientCoverage, match="none of the 4 subdomains"):
+            self.fit(1e-9)
+        assert grids == [(300, 48)]
+
+    def test_sites_on_the_centers_fit_with_bounded_grids(self, grids):
+        # every site sits on a subdomain center, so all 16 subdomains keep one
+        # member and the center index is built too
+        nodes = bp.grid_on_rect(bp.Rect(np.zeros(2), np.ones(2)), 16).with_values(np.arange(16.0))
+        model = bp.fit_model(nodes, wendland_cfg(d_r=16, delta_override=1e-9))
+        assert grids == [(16, 11), (16, 11)]
+        assert np.array_equal(model.predict(nodes.coords), nodes.values)
+
+    @pytest.mark.parametrize("delta", [1e-3, 1e-2])
+    def test_every_subdomain_empty_raises(self, delta):
+        with pytest.raises(InsufficientCoverage):
+            self.fit(delta)
+
+    def test_capped_blocks(self):
+        assert _capped_blocks(10**9, 300, 2) == 48  # 48^2 <= 8 * 300 < 49^2
+        assert _capped_blocks(43, 9898, 2) == 43
+        assert _capped_blocks(7, 306, 3) == 7
+        assert _capped_blocks(10**6, 0, 3) == 2
+        for n, dim in [(1, 2), (5, 3), (1000, 2), (777, 3)]:
+            q = _capped_blocks(10**9, n, dim)
+            assert q**dim <= GRID_BLOCKS_PER_POINT * n < (q + 1) ** dim
+
+
 class TestLocalSolve:
     def test_single_point_wendland(self):
         fit = bp.local_solve(np.array([[0.2, 0.3]]), np.array([4.2]), bp.make_kernel("wendland-c2", 0.5))
@@ -195,6 +251,23 @@ def reference_local_solve(coords, values, kernel, index=0):
     if not np.all(np.isfinite(coef)):
         raise SingularLocalSystem(f"subdomain {index}: non-finite coefficients")
     return coef, max(cond, 1.0), phi
+
+
+def eager_cond(nodes, node_lists, kernel):
+    """Condition numbers as every fit computed them before they were deferred:
+    eigenvalues of each stack's kernel matrices, built from the data sites."""
+    sizes = np.array([len(members) for members in node_lists])
+    cond = np.empty(len(sizes))
+    for n in np.unique(sizes):
+        group = np.flatnonzero(sizes == n)
+        step = max(1, BLEND_CHUNK // (n * n))
+        for lo in range(0, len(group), step):
+            subs = group[lo : lo + step]
+            phi = _kernel_stack(nodes.coords[np.stack([node_lists[j] for j in subs])], kernel)
+            lam = np.abs(np.linalg.eigvalsh(phi))
+            low, high = lam.min(axis=1), lam.max(axis=1)
+            cond[subs] = np.maximum(np.divide(high, low, out=np.full(len(low), np.inf), where=low > 0), 1.0)
+    return cond
 
 
 def assert_matches_reference(nodes, node_lists, table, kernel):
@@ -258,15 +331,12 @@ class TestBatchedSolve:
         nodes = bp.PointSet(sites, np.ones(4))
         # subdomain 1 holds site 2 twice
         node_lists = [np.array(m) for m in ([0, 1, 3], [2, 2, 1], [3, 0, 2])]
-        with pytest.raises(SingularLocalSystem, match="subdomain 1: factorization failed"):
+        with pytest.raises(SingularLocalSystem, match=r"subdomain 1: factorization failed \(cond~"):
             _fit_subdomains(nodes, node_lists, bp.make_kernel("wendland-c2", 0.5))
 
     def test_fit_bitwise_equal_to_local_solve(self):
-        # a uniform set with a tight cluster: many member counts, and groups
-        # large enough to be split across chunks
-        rng = np.random.default_rng(11)
-        pts = np.vstack([rng.random((8000, 2)), 0.5 + 0.03 * rng.standard_normal((1000, 2))])
-        nodes = bp.PointSet(pts, np.sin(3 * pts[:, 0]) + pts[:, 1] ** 2)
+        nodes = clustered_nodes()
+        pts = nodes.coords
         model = bp.fit_model(nodes, wendland_cfg())
         lists = model.covering.node_lists
         sizes, counts = np.unique([len(m) for m in lists], return_counts=True)
@@ -288,6 +358,73 @@ class TestBatchedSolve:
         with warnings.catch_warnings():
             warnings.simplefilter("error", KernelSupportTooSmall)
             bp.fit_model(pentagon_nodes(600), wendland_cfg(s_r=1600))
+
+
+def clustered_nodes():
+    """A uniform set with a tight cluster: many member counts, and groups large
+    enough to be split across stacks."""
+    rng = np.random.default_rng(11)
+    pts = np.vstack([rng.random((8000, 2)), 0.5 + 0.03 * rng.standard_normal((1000, 2))])
+    return bp.PointSet(pts, np.sin(3 * pts[:, 0]) + pts[:, 1] ** 2)
+
+
+class TestDeferredConditioning:
+    """Fits and evaluations never compute condition numbers; the first read does, once."""
+
+    @pytest.fixture
+    def eig_calls(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        return calls
+
+    def test_fit_and_evaluation_compute_none(self, eig_calls):
+        nodes = pentagon_nodes(600)
+        model = bp.fit_model(nodes, wendland_cfg())
+        model.predict(nodes.coords[:50])
+        model.predict([[0.0, 0.0]], on_uncovered="nearest")
+        bp.pum_interpolate(nodes, wendland_cfg(s_r=400), truth=lambda p: eval_test_function("f1", p))
+        dirs = fibonacci_sphere(300)
+        cloud = OrientedCloud(points=0.5 + 0.4 * dirs, normals=dirs, step=default_step(0.5 + 0.4 * dirs))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EmptySubdomainPruned)
+            reconstruct(cloud, bp.PumConfig(kernel=bp.make_kernel("wu-c4", 0.1)), grid_shape=(8, 8, 8))
+        assert eig_calls == []
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda res: res.model.members.cond,
+            lambda res: res.report.max_cond,
+            lambda res: res.report.av_cond,
+            lambda res: res.report.as_dict(),
+        ],
+        ids=["members.cond", "max_cond", "av_cond", "as_dict"],
+    )
+    def test_first_read_computes_once_per_stack(self, eig_calls, read):
+        result = bp.pum_interpolate(pentagon_nodes(600), wendland_cfg(s_r=400))
+        stacks = [rows.shape for _, rows in _size_stacks(result.model.members.ptr)]
+        assert eig_calls == []
+        read(result)
+        assert [shape[:2] for shape in eig_calls] == stacks
+        cond = result.model.members.cond
+        assert result.report.max_cond == float(cond.max())
+        assert result.report.av_cond == float(cond.mean())
+        d = result.report.as_dict()
+        assert (d["max_cond"], d["av_cond"]) == (result.report.max_cond, result.report.av_cond)
+        assert len(eig_calls) == len(stacks)
+
+    def test_values_equal_the_eager_computation(self):
+        nodes = clustered_nodes()
+        model = bp.fit_model(nodes, wendland_cfg())
+        ptr = model.members.ptr
+        assert len(list(_size_stacks(ptr))) > len(np.unique(np.diff(ptr)))  # some size group is split
+        assert np.array_equal(model.members.cond, eager_cond(nodes, model.covering.node_lists, model.kernel))
 
 
 class TestWarningLocation:
