@@ -334,8 +334,10 @@ def blocks_per_side(edge: float, radius: float, mode: str = "cover") -> int:
         raise ValueError("radius must be positive")
     if edge <= 0:
         return 1
+    # a subnormal radius overflows the ratio to inf, which int() rejects
+    ratio = min(edge / radius, np.finfo(float).max)
     if mode == "paper":
-        return max(1, int(np.ceil(edge / radius)))
+        return max(1, int(np.ceil(ratio)))
     if mode == "cover":
-        return max(1, int(np.floor(edge / radius)))
+        return max(1, int(np.floor(ratio)))
     raise ValueError(f"unknown block mode {mode!r}")

@@ -101,8 +101,8 @@ def write_value_grid(path, result: ReconstructionResult) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(" ".join(_FLOAT_FMT % v if isinstance(v, float) else str(v) for v in header))
         fh.write("\n")
-        for v in result.values:
-            fh.write(_FLOAT_FMT % v + "\n")
+        values = result.values.tolist()
+        fh.write(((_FLOAT_FMT + "\n") * len(values)) % tuple(values))
 
 
 def _to_builtin(obj):

@@ -5,6 +5,14 @@ matrices between point sets whose mutual distances exceed the support are
 sparse; the block structure finds the nonzero pairs without scanning all
 of them. Globally supported kernels would make that wasteful, so they are
 only ever assembled densely.
+
+The profiles run the ufuncs of the textbook expressions in the same order,
+so their values match those expressions to the last bit, but they write
+into the arrays they allocate (t = eps*r, the cutoff and at most one
+polynomial buffer) instead of making one temporary per operation. Array
+input is never written to. A scalar stays a numpy scalar and goes through
+numpy's scalar arithmetic, as it does in the textbook expressions: its
+``**`` can round differently from the array ``power`` loop.
 """
 
 from __future__ import annotations
@@ -20,19 +28,35 @@ from .errors import SupportExceedsNeighborhood
 from .geometry import PointSet
 
 
+def _cutoff(t):
+    """(1 - t)_+ in a fresh array, or a numpy scalar for a scalar ``t``."""
+    cut = 1.0 - t
+    return np.maximum(cut, 0.0, out=cut if isinstance(cut, np.ndarray) else None)
+
+
 def phi_wendland_c2(r, epsilon: float):
     """Wendland C2 kernel (1 - eps*r)^4_+ (4 eps*r + 1)."""
     t = epsilon * np.asarray(r, dtype=float)
-    cut = np.maximum(1.0 - t, 0.0)
-    return cut**4 * (4.0 * t + 1.0)
+    cut = _cutoff(t)
+    cut **= 4
+    t *= 4.0
+    t += 1.0
+    cut *= t
+    return cut
 
 
 def phi_wu_c4(r, epsilon: float):
     """Wu C4 kernel (1 - eps*r)^6_+ (5t^5 + 30t^4 + 72t^3 + 82t^2 + 36t + 6), t = eps*r."""
     t = epsilon * np.asarray(r, dtype=float)
-    cut = np.maximum(1.0 - t, 0.0)
-    poly = ((((5.0 * t + 30.0) * t + 72.0) * t + 82.0) * t + 36.0) * t + 6.0
-    return cut**6 * poly
+    cut = _cutoff(t)
+    cut **= 6
+    poly = 5.0 * t
+    for c in (30.0, 72.0, 82.0, 36.0):
+        poly += c
+        poly *= t
+    poly += 6.0
+    cut *= poly
+    return cut
 
 
 _REGISTRY = {

@@ -25,6 +25,15 @@ and predicting never compute them. The table computes them, from
 eigenvalues of the same stacks, the first time they are read, and keeps
 them.
 
+Memberships come from the join as compressed sparse rows and stay so
+through the fit; per-subdomain member arrays (``Covering.node_lists``)
+are only made when read. The nearest-subdomain fallback finds its
+centers in a k-d tree over them, built on its first use.
+
+A run report computes its fill distance, like the conditioning, only
+when it is first read: evaluation keeps the data sites and the probes,
+not the k-d tree query.
+
 The Shepard blend and the nearest-subdomain fallback get their local
 values from the same routine, which splits the touched subdomains by the
 (point, member) entries they hold in that call: subdomains at or below
@@ -46,6 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve as lin_solve
 from scipy.linalg.lapack import dpotrs as potrs
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .blockpart import BlockStructure, blocks_per_side, build, range_join
@@ -84,6 +94,11 @@ BLEND_STEP_ENTRIES = 512
 # (point, member) entries per vectorized blend pass, and kernel-matrix
 # entries per batched local solve, bounding the temporaries of either.
 BLEND_CHUNK = 2**16
+
+# The nearest-subdomain fallback trusts the k-d tree's nearest center unless
+# the second nearest lies within this relative distance of it: the tree and
+# cdist round distances differently, by far less than this.
+NEAREST_TIE_REL = 1e-12
 
 # A block index over n points gets at most GRID_BLOCKS_PER_POINT * n blocks.
 # A tiny radius would otherwise ask for (edge/radius)^M bucket counters;
@@ -133,17 +148,19 @@ class PumConfig:
 
 @dataclass
 class Covering:
-    """Subdomain centers with common radius, member lists and center index.
+    """Subdomain centers with common radius, member table and center index.
 
-    Only subdomains holding at least one data site survive.
-    ``center_index`` is a cover-mode block structure over the surviving
-    centers, so the 3^M block neighborhood of any point holds every
-    subdomain containing it.
+    Only subdomains holding at least one data site survive. Subdomain j's
+    data sites are ``members[ptr[j]:ptr[j+1]]``, by distance from its
+    center, then index. ``center_index`` is a cover-mode block structure
+    over the surviving centers, so the 3^M block neighborhood of any point
+    holds every subdomain containing it.
     """
 
     centers: np.ndarray
     radius: float
-    node_lists: list
+    ptr: np.ndarray
+    members: np.ndarray
     center_index: BlockStructure
     d_requested: int
     n_pruned: int
@@ -151,6 +168,16 @@ class Covering:
     @property
     def d(self) -> int:
         return len(self.centers)
+
+    @functools.cached_property
+    def node_lists(self) -> list:
+        """Member array of each subdomain, as views of ``members``; built on first read."""
+        return np.split(self.members, self.ptr[1:-1])
+
+    @functools.cached_property
+    def center_tree(self) -> cKDTree:
+        """k-d tree over the centers, for the nearest-subdomain fallback; built on first use."""
+        return cKDTree(self.centers)
 
     def active(self, points):
         """(point row, subdomain, distance) for each point strictly inside a subdomain.
@@ -205,12 +232,15 @@ class RunReport:
     ``t_solve_s`` as recorded in ``PumModel.build_timings``, plus
     ``t_eval_s``, the seconds spent computing the values at the evaluation
     points, and ``t_total_s``, the fit's ``t_total_s`` plus ``t_eval_s``.
-    The error metrics and the fill distance are computed afterwards and
-    are in neither.
+    The error metrics are computed afterwards and are in neither.
 
     ``max_cond`` and ``av_cond`` read the condition numbers of the model's
     member table, computed on the first read and cached, so a report whose
-    conditioning nobody reads costs no eigenvalues.
+    conditioning nobody reads costs no eigenvalues. ``fill_dist`` goes the
+    same way: the report keeps the model's data sites (``nodes``) and a
+    copy of the evaluation points subsampled to at most FILL_PROBE_CAP
+    (``probes``), and ``fill_distance`` runs on the first read of
+    ``fill_dist`` or ``as_dict()``.
     """
 
     n: int
@@ -220,12 +250,18 @@ class RunReport:
     q: int
     mae: float | None
     rmse: float | None
-    fill_dist: float
     members: MemberTable = field(repr=False, compare=False)
+    nodes: PointSet = field(repr=False, compare=False)
+    probes: np.ndarray = field(repr=False, compare=False)
     rate: float | None = None
     timings: dict = field(default_factory=dict)
 
     _TIMING_KEYS = ("t_structure_s", "t_search_s", "t_solve_s", "t_eval_s", "t_total_s")
+
+    @functools.cached_property
+    def fill_dist(self) -> float:
+        """Fill distance of the data sites over the probes; computed on first read and cached."""
+        return fill_distance(self.nodes, PointSet(self.probes))
 
     @property
     def max_cond(self) -> float:
@@ -307,11 +343,15 @@ def shepard_weights(p, covering: Covering, active=None) -> np.ndarray:
 
 
 def _memberships(bs: BlockStructure, centers: np.ndarray, radius: float):
-    """Strict-interior members of each ball, found through the block grid."""
+    """Strict-interior members of each ball, found through the block grid.
+
+    Returned as compressed sparse rows ``(ptr, members)``: ball j holds
+    ``members[ptr[j]:ptr[j+1]]``, in the join's (distance, index) order.
+    """
     found = range_join(bs, centers, radius)
     inside = found.distances < radius
-    cuts = np.cumsum(np.bincount(found.rows()[inside], minlength=len(centers)))[:-1]
-    return np.split(found.indices[inside], cuts)
+    ptr = np.concatenate(([0], np.cumsum(inside)))[found.indptr]
+    return ptr, found.indices[inside]
 
 
 def build_covering(nodes: PointSet, dom: ConvexDomain, cfg: PumConfig, eval_points=None) -> Covering:
@@ -375,9 +415,9 @@ def _build_covering_once(nodes, dom, cfg, eval_coords, d_r):
     nodes_bs = build(nodes, dom.box, q)
     t1 = time.perf_counter()
 
-    node_lists = _memberships(nodes_bs, centers, delta)
-    occupied = [j for j, members in enumerate(node_lists) if len(members)]
-    if not occupied:
+    ptr, members = _memberships(nodes_bs, centers, delta)
+    occupied = np.flatnonzero(np.diff(ptr))
+    if not len(occupied):
         raise InsufficientCoverage(
             f"none of the {len(centers)} subdomains of radius {delta:g} contains a data site; "
             "increase the radius or the node density"
@@ -392,7 +432,9 @@ def _build_covering_once(nodes, dom, cfg, eval_coords, d_r):
     covering = Covering(
         centers=centers,
         radius=delta,
-        node_lists=[node_lists[j] for j in occupied],
+        # empty balls hold no members, so only their ends leave ptr
+        ptr=np.concatenate(([0], ptr[occupied + 1])),
+        members=members,
         center_index=build(PointSet(centers), dom.box, center_q),
         d_requested=d_r_actual,
         n_pruned=n_pruned,
@@ -433,14 +475,17 @@ def local_solve(coords: np.ndarray, values: np.ndarray, kernel: Kernel, index: i
 def _kernel_stack(coords, kernel):
     """Kernel matrices of a (b, n, M) stack of member coordinates.
 
-    Squared distances accumulate one dimension at a time, so no
-    (b, n, n, M) temporary is made.
+    Squared distances accumulate one dimension at a time in one reused
+    difference buffer, so no (b, n, n, M) temporary is made, and the
+    distances overwrite them.
     """
     sq = np.zeros(coords.shape[:2] + coords.shape[1:2])
+    diff = np.empty_like(sq)
     for k in range(coords.shape[2]):
-        diff = coords[:, :, None, k] - coords[:, None, :, k]
-        sq += diff * diff
-    return kernel(np.sqrt(sq))
+        np.subtract(coords[:, :, None, k], coords[:, None, :, k], out=diff)
+        diff *= diff
+        sq += diff
+    return kernel(np.sqrt(sq, out=sq))
 
 
 def _stack_cond(phi):
@@ -504,16 +549,15 @@ def _size_stacks(ptr):
             yield subs, ptr[subs, None] + np.arange(n)
 
 
-def _fit_subdomains(nodes, node_lists, kernel) -> MemberTable:
+def _fit_subdomains(nodes, ptr, members, kernel) -> MemberTable:
     """Solve every subdomain's local system; the fits come back as one member table.
 
-    The systems are solved in the stacks of ``_size_stacks``. Warns
+    Subdomain j's data sites are ``members[ptr[j]:ptr[j+1]]``. The systems
+    are solved in the stacks of ``_size_stacks``. Warns
     KernelSupportTooSmall when some subdomain has two members but no kernel
     matrix couples any.
     """
-    sizes = np.array([len(members) for members in node_lists], dtype=np.int64)
-    ptr = np.concatenate(([0], np.cumsum(sizes)))
-    members = np.concatenate(node_lists)
+    sizes = np.diff(ptr)
     coefficients = np.empty(len(members))
     coupled = False
     for subs, rows in _size_stacks(ptr):
@@ -636,13 +680,25 @@ class PumModel:
             # entry t of pair i is member row ptr[subs[i]] + (t - starts[i])
             pos = np.arange(starts[-1] + n[-1]) + np.repeat(table.ptr[subs[lo:hi]] - starts, n)
             delta = np.take(table.coords, pos, axis=0) - np.take(points, np.repeat(rows[lo:hi], n), axis=0)
-            terms = self.kernel(np.sqrt(np.einsum("ij,ij->i", delta, delta))) * table.coefficients[pos]
+            dist = np.einsum("ij,ij->i", delta, delta)
+            terms = self.kernel(np.sqrt(dist, out=dist)) * table.coefficients[pos]
             out[lo:hi] = np.add.reduceat(terms, starts)
         return out
 
     def _predict_nearest(self, pts):
-        """Local fit of the subdomain with the nearest center, taken with weight one."""
-        nearest = cdist(pts, self.covering.centers).argmin(axis=1)
+        """Local fit of the subdomain with the nearest center, taken with weight one.
+
+        The two nearest centers come from the covering's k-d tree. Where
+        their distances agree to NEAREST_TIE_REL, the row takes the first
+        center of least ``cdist`` distance, so near-ties go as they would in
+        an argmin over all centers.
+        """
+        dist, nearest = self.covering.center_tree.query(pts, k=2)
+        # a lone center leaves the second distance inf: never a tie
+        ties = np.flatnonzero(dist[:, 1] - dist[:, 0] <= NEAREST_TIE_REL * dist[:, 0])
+        nearest = nearest[:, 0]
+        if len(ties):
+            nearest[ties] = cdist(pts[ties], self.covering.centers).argmin(axis=1)
         order = np.argsort(nearest, kind="stable")
         vals = np.empty(len(pts))
         vals[order] = self._local_values(pts, order, nearest[order])
@@ -687,7 +743,7 @@ def _fit(nodes: PointSet, cfg: PumConfig, eval_points=None, with_eval: bool = Fa
     eval_coords = _resolve_eval(dom, cfg, eval_points) if with_eval else None
     covering, extras = _build_covering(nodes, dom, cfg, eval_coords)
     t0 = time.perf_counter()
-    members = _fit_subdomains(nodes, covering.node_lists, cfg.kernel)
+    members = _fit_subdomains(nodes, covering.ptr, covering.members, cfg.kernel)
     t_solve = time.perf_counter() - t0
     model = PumModel(
         domain=dom,
@@ -745,7 +801,6 @@ def _evaluate(model: PumModel, eval_points, truth, on_uncovered: str):
         mae_val = mae(truth_vals, values)
         rmse_val = rmse(truth_vals, values)
     stride = max(1, int(np.ceil(len(eval_coords) / FILL_PROBE_CAP)))
-    fd = fill_distance(model.nodes, PointSet(eval_coords[::stride]))
     report = RunReport(
         n=len(model.nodes),
         d=model.covering.d,
@@ -754,8 +809,9 @@ def _evaluate(model: PumModel, eval_points, truth, on_uncovered: str):
         q=model.q,
         mae=mae_val,
         rmse=rmse_val,
-        fill_dist=fd,
         members=model.members,
+        nodes=model.nodes,
+        probes=eval_coords[::stride].copy(),
         timings=dict(
             model.build_timings,
             t_eval_s=t_eval,

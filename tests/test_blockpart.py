@@ -347,6 +347,12 @@ class TestBlocksPerSide:
         assert bp.blocks_per_side(1.0, 5.0, "cover") == 1
         assert bp.blocks_per_side(1.0, 5.0, "paper") == 1
 
+    @pytest.mark.parametrize("mode", ["cover", "paper"])
+    def test_subnormal_radius_gives_finite_count(self, mode):
+        # 1 / 1e-320 overflows to inf; the count is clamped to the largest float
+        q = bp.blocks_per_side(1.0, 1e-320, mode)
+        assert q == int(np.finfo(float).max)
+
     def test_cover_width_never_below_radius(self):
         for radius in (0.011, 0.1, 0.249, 0.5, 0.9):
             q = bp.blocks_per_side(1.0, radius, "cover")

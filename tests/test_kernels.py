@@ -2,6 +2,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import blockpum as bp
 from blockpum.errors import SupportExceedsNeighborhood
@@ -55,6 +58,63 @@ class TestWuC4:
         for r in np.linspace(0, 1.2 / eps, 23):
             want = float(wu_c4_exact(Fraction(r).limit_denominator(10**12), Fraction(eps).limit_denominator(10**12)))
             assert phi_wu_c4(r, eps) == pytest.approx(want, abs=1e-12)
+
+
+def wendland_c2_allocating(r, eps):
+    """The Wendland C2 profile with one temporary per operation, the oracle of the in-place one."""
+    t = eps * np.asarray(r, dtype=float)
+    cut = np.maximum(1.0 - t, 0.0)
+    return cut**4 * (4.0 * t + 1.0)
+
+
+def wu_c4_allocating(r, eps):
+    """The Wu C4 profile with one temporary per operation, the oracle of the in-place one."""
+    t = eps * np.asarray(r, dtype=float)
+    cut = np.maximum(1.0 - t, 0.0)
+    poly = ((((5.0 * t + 30.0) * t + 72.0) * t + 82.0) * t + 36.0) * t + 6.0
+    return cut**6 * poly
+
+
+PROFILES = {"wendland-c2": (phi_wendland_c2, wendland_c2_allocating), "wu-c4": (phi_wu_c4, wu_c4_allocating)}
+
+# eps * r: zero, on the support, inside it and beyond it
+SCALED_R = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0), st.floats(1.0, 4.0))
+
+
+class TestInPlaceProfiles:
+    """The in-place profiles equal the allocating expressions bit for bit, keep
+    their return types and never write to their input."""
+
+    @staticmethod
+    def check(phi, ref, r, eps):
+        before = np.array(r, copy=True)
+        got, want = phi(r, eps), ref(r, eps)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want) and np.asarray(got).dtype == np.float64
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.asarray(r), before)
+
+    @given(
+        st.sampled_from(sorted(PROFILES)),
+        st.floats(0.05, 20.0),
+        hnp.arrays(float, hnp.array_shapes(min_dims=3, max_dims=3, max_side=7), elements=SCALED_R),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_stacks_and_views(self, name, eps, scaled):
+        phi, ref = PROFILES[name]
+        stack = scaled / eps
+        stack.flat[0] = 1.0 / eps
+        for r in (stack, stack[:, ::2], stack.transpose(0, 2, 1), stack[..., 0], stack.ravel()[::3]):
+            self.check(phi, ref, r, eps)
+        self.check(phi, ref, stack.tolist(), eps)
+
+    @given(st.sampled_from(sorted(PROFILES)), st.floats(0.05, 20.0), SCALED_R, st.integers(0, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_scalars_lists_and_ints(self, name, eps, scaled, n):
+        phi, ref = PROFILES[name]
+        r = scaled / eps
+        for arg in (r, np.float64(r), np.array(r), [r, 1.0 / eps, 0.0], n, [n, 0, 2 * n], np.arange(n)):
+            self.check(phi, ref, arg, eps)
 
 
 @pytest.mark.parametrize("phi,eps", [(phi_wendland_c2, 0.5), (phi_wendland_c2, 2.0), (phi_wu_c4, 0.5), (phi_wu_c4, 2.0)])

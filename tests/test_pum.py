@@ -85,7 +85,8 @@ class TestShepardWeights:
         return bp.Covering(
             centers=centers,
             radius=radius,
-            node_lists=[np.array([0])] * d,
+            ptr=np.arange(d + 1),
+            members=np.zeros(d, dtype=np.int64),
             center_index=bp.build(bp.PointSet(centers), box, q=1),
             d_requested=d,
             n_pruned=0,
@@ -146,6 +147,22 @@ class TestBuildCovering:
         assert cov.n_pruned > 0
         assert all(len(m) for m in cov.node_lists)
 
+    def test_member_table_matches_brute_force(self):
+        # uniform sites with a hole: the subdomains inside it are pruned
+        pts = np.random.default_rng(5).random((3000, 2))
+        pts = pts[np.linalg.norm(pts - 0.5, axis=1) > 0.25]
+        nodes = bp.PointSet(pts, np.sin(3 * pts[:, 0]))
+        with pytest.warns(EmptySubdomainPruned):
+            cov = bp.fit_model(nodes, wendland_cfg(d_r=400)).covering
+        assert cov.n_pruned > 0
+        assert cov.ptr[0] == 0 and cov.ptr[-1] == len(cov.members) and len(cov.ptr) == cov.d + 1
+        assert (np.diff(cov.ptr) > 0).all()
+        dist = cdist(cov.centers, nodes.coords)
+        for j, members in enumerate(cov.node_lists):
+            inside = np.flatnonzero(dist[j] < cov.radius)
+            assert np.array_equal(members, inside[np.lexsort((inside, dist[j, inside]))]), j
+            assert np.shares_memory(members, cov.members)
+
     def test_insufficient_coverage_raises(self, unit_square_domain):
         # clustered nodes, spanning evaluation grid, explicit fine covering
         nodes = bp.PointSet(np.random.default_rng(4).random((40, 2)) * 0.05, np.ones(40))
@@ -187,6 +204,12 @@ class TestTinyRadius:
         model = bp.fit_model(nodes, wendland_cfg(d_r=16, delta_override=1e-9))
         assert grids == [(16, 11), (16, 11)]
         assert np.array_equal(model.predict(nodes.coords), nodes.values)
+
+    def test_subnormal_radius_raises_insufficient_coverage(self, grids):
+        # edge / 1e-320 overflows to inf; the grids are capped as for 1e-9
+        with pytest.raises(InsufficientCoverage, match="none of the 4 subdomains"):
+            self.fit(1e-320)
+        assert grids == [(300, 48)]
 
     @pytest.mark.parametrize("delta", [1e-3, 1e-2])
     def test_every_subdomain_empty_raises(self, delta):
@@ -253,6 +276,12 @@ def reference_local_solve(coords, values, kernel, index=0):
     return coef, max(cond, 1.0), phi
 
 
+def csr(node_lists):
+    """(ptr, members) of a list of member arrays, as _fit_subdomains takes them."""
+    ptr = np.concatenate(([0], np.cumsum([len(members) for members in node_lists])))
+    return ptr, np.concatenate(node_lists)
+
+
 def eager_cond(nodes, node_lists, kernel):
     """Condition numbers as every fit computed them before they were deferred:
     eigenvalues of each stack's kernel matrices, built from the data sites."""
@@ -308,7 +337,7 @@ class TestBatchedSolve:
         kernel = bp.make_kernel(kernel_name, 0.2 if ill else 3.0)
         # each size taken one to three times, so stacks hold several matrices
         node_lists = [rng.choice(len(sites), n, replace=False) for n in sizes for _ in range(rng.integers(1, 4))]
-        table = _fit_subdomains(nodes, node_lists, kernel)
+        table = _fit_subdomains(nodes, *csr(node_lists), kernel)
         assert_matches_reference(nodes, node_lists, table, kernel)
 
     def test_cholesky_failure_falls_back_per_matrix(self):
@@ -319,7 +348,7 @@ class TestBatchedSolve:
         sites = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 1.0], [0.3, 1.0], [2.0, 0.0]])
         nodes = bp.PointSet(sites, np.array([1.0, -2.0, 0.5, 3.0, 0.25]))
         node_lists = [np.array(m) for m in ([0, 1], [0, 4], [2, 3])]
-        table = _fit_subdomains(nodes, node_lists, profile)
+        table = _fit_subdomains(nodes, *csr(node_lists), profile)
         assert_matches_reference(nodes, node_lists, table, profile)
         for j, members in enumerate(node_lists):
             fit = bp.local_solve(sites[members], nodes.values[members], profile, j)
@@ -332,7 +361,7 @@ class TestBatchedSolve:
         # subdomain 1 holds site 2 twice
         node_lists = [np.array(m) for m in ([0, 1, 3], [2, 2, 1], [3, 0, 2])]
         with pytest.raises(SingularLocalSystem, match=r"subdomain 1: factorization failed \(cond~"):
-            _fit_subdomains(nodes, node_lists, bp.make_kernel("wendland-c2", 0.5))
+            _fit_subdomains(nodes, *csr(node_lists), bp.make_kernel("wendland-c2", 0.5))
 
     def test_fit_bitwise_equal_to_local_solve(self):
         nodes = clustered_nodes()
@@ -425,6 +454,79 @@ class TestDeferredConditioning:
         ptr = model.members.ptr
         assert len(list(_size_stacks(ptr))) > len(np.unique(np.diff(ptr)))  # some size group is split
         assert np.array_equal(model.members.cond, eager_cond(nodes, model.covering.node_lists, model.kernel))
+
+
+class TestDeferredFillDistance:
+    """Fits and evaluations never compute the fill distance; the first read of a report does, once."""
+
+    @pytest.fixture
+    def fill_calls(self, monkeypatch):
+        calls = []
+        fill_distance = pum_module.fill_distance
+
+        def spy(nodes, probes):
+            calls.append((nodes, probes))
+            return fill_distance(nodes, probes)
+
+        monkeypatch.setattr(pum_module, "fill_distance", spy)
+        return calls
+
+    @staticmethod
+    def eager(model, eval_points):
+        stride = max(1, int(np.ceil(len(eval_points) / pum_module.FILL_PROBE_CAP)))
+        return bp.fill_distance(model.nodes, bp.PointSet(eval_points[::stride]))
+
+    @staticmethod
+    def runs():
+        """(report, model, evaluation points) of pum_interpolate, evaluate and reconstruct."""
+        nodes = pentagon_nodes(600)
+        result = bp.pum_interpolate(nodes, wendland_cfg(s_r=400), truth=lambda p: eval_test_function("f1", p))
+        probes = nodes.coords[::3]
+        _, evaluated = bp.evaluate(result.model, probes)
+        dirs = fibonacci_sphere(300)
+        cloud = OrientedCloud(points=0.5 + 0.4 * dirs, normals=dirs, step=default_step(0.5 + 0.4 * dirs))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EmptySubdomainPruned)
+            # 28^3 grid points exceed FILL_PROBE_CAP, so the probes are subsampled
+            rec = reconstruct(cloud, bp.PumConfig(kernel=bp.make_kernel("wu-c4", 0.1)), grid_shape=(28, 28, 28))
+        grid = grid_coords(rec.rect, rec.grid_shape)
+        assert len(grid) > pum_module.FILL_PROBE_CAP
+        return [
+            (result.report, result.model, result.eval_points),
+            (evaluated, result.model, probes),
+            (rec.report, rec.model, grid),
+        ]
+
+    def test_fit_and_evaluation_compute_none(self, fill_calls):
+        nodes = pentagon_nodes(600)
+        model = bp.fit_model(nodes, wendland_cfg())
+        model.predict(nodes.coords[:50])
+        model.predict([[0.0, 0.0]], on_uncovered="nearest")
+        self.runs()
+        assert fill_calls == []
+
+    @pytest.mark.parametrize(
+        "read", [lambda rep: rep.fill_dist, lambda rep: rep.as_dict()["fill_distance"]], ids=["fill_dist", "as_dict"]
+    )
+    def test_first_read_computes_once(self, fill_calls, read):
+        for report, model, eval_points in self.runs():
+            assert fill_calls == []
+            value = read(report)
+            assert len(fill_calls) == 1
+            assert fill_calls[0][0] is model.nodes
+            assert value == self.eager(model, eval_points)
+            assert report.fill_dist == value
+            assert report.as_dict()["fill_distance"] == value
+            assert len(fill_calls) == 1
+            fill_calls.clear()
+
+    def test_probes_are_a_snapshot(self, pentagon_run):
+        nodes, result = pentagon_run
+        probes = nodes.coords[::3].copy()
+        _, report = bp.evaluate(result.model, probes)
+        want = self.eager(result.model, probes)
+        probes[:] = 10.0
+        assert report.fill_dist == want
 
 
 class TestWarningLocation:
@@ -669,6 +771,39 @@ def reference_nearest(model, pts):
     return nearest, vals, mag
 
 
+def tie_probes(model):
+    """Uncovered probes at exactly the same cdist distance from two neighbouring
+    centers and nearer to no other center.
+
+    For each outermost layer of the center lattice along each axis k, a probe
+    sits 1.5 radii outside it, between two neighbours of the layer along the
+    next axis j, at a coordinate where both differences along j round to the
+    same magnitude, so the two distances agree to the last bit.
+    """
+    centers = model.covering.centers
+    dim = centers.shape[1]
+    probes = []
+    for k in range(dim):
+        j = (k + 1) % dim
+        rest = np.delete(np.arange(dim), j)
+        for side, edge in ((-1.0, centers[:, k].min()), (1.0, centers[:, k].max())):
+            layer = centers[centers[:, k] == edge]
+            for a in layer:
+                right = layer[(layer[:, rest] == a[rest]).all(axis=1) & (layer[:, j] > a[j])]
+                if not len(right):
+                    continue
+                b = right[np.argmin(right[:, j])]
+                mid = 0.5 * (a[j] + b[j])
+                for x in (mid, np.nextafter(mid, -np.inf), np.nextafter(mid, np.inf)):
+                    if x - a[j] == b[j] - x:
+                        p = a.copy()
+                        p[j] = x
+                        p[k] += side * 1.5 * model.delta
+                        probes.append(p)
+                        break
+    return np.array(probes).reshape(-1, dim)
+
+
 def step_split(model, pts):
     """Per touched subdomain: does it hold more than BLEND_STEP_ENTRIES entries for this batch?"""
     _, subs, _ = model.covering.active(pts)
@@ -743,8 +878,12 @@ class TestPredictOracles:
         box = model.domain.box
         probes = rng.uniform(box.lo - 0.3, box.hi + 0.3, size=(400, dim))
         probes = np.delete(probes, model.covering.active(probes)[0], axis=0)[:40]
+        ties = tie_probes(model)
+        assert len(ties) and len(model.covering.active(ties)[0]) == 0
+        two = np.sort(cdist(ties, model.covering.centers), axis=1)[:, :2]
+        assert np.array_equal(two[:, 0], two[:, 1])
         # many copies of one probe give its subdomain more than BLEND_STEP_ENTRIES entries
-        pts = np.vstack([probes, np.repeat(probes[:1], BLEND_STEP_ENTRIES + 1, axis=0)])
+        pts = np.vstack([probes, ties, np.repeat(probes[:1], BLEND_STEP_ENTRIES + 1, axis=0)])
         want_sub, want, mag = reference_nearest(model, pts)
         present, counts = np.unique(want_sub, return_counts=True)
         split = counts * np.diff(model.members.ptr)[present] > BLEND_STEP_ENTRIES

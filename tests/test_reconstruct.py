@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 import blockpum as bp
-from blockpum.reconstruct import OrientedCloud, augment, default_step, grid_coords, reconstruct
+from blockpum.io import write_value_grid
+from blockpum.reconstruct import (
+    OrientedCloud,
+    ReconstructionResult,
+    augment,
+    default_step,
+    grid_coords,
+    reconstruct,
+)
 
 from conftest import fibonacci_sphere
 
@@ -119,3 +127,32 @@ class TestReconstructGrid:
         mid = (12**3 - 1) // 2
         center_val = result.values[mid]
         assert np.isfinite(center_val)
+
+
+def write_value_grid_per_value(path, result):
+    """The grid writer with one write per value, the oracle of the one-write writer."""
+    nx, ny, nz = result.grid_shape
+    header = [nx, ny, nz]
+    for m in range(3):
+        header += [result.rect.mins[m], result.rect.maxs[m]]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(" ".join("%.17g" % v if isinstance(v, float) else str(v) for v in header))
+        fh.write("\n")
+        for v in result.values:
+            fh.write("%.17g" % v + "\n")
+
+
+class TestValueGridFile:
+    @pytest.mark.parametrize("shape", [(3, 2, 2), (1, 1, 1), (20, 20, 20)])
+    def test_bytes_equal_per_value_writer(self, tmp_path, shape):
+        rng = np.random.default_rng(sum(shape))
+        special = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308 / 3, 1e300, -1e300, 0.1, 1 / 3, np.pi * 1e-12]
+        values = rng.standard_normal(int(np.prod(shape))) * 10.0 ** rng.integers(-20, 20, int(np.prod(shape)))
+        values[: len(special)] = special[: len(values)]
+        rect = bp.Rect(np.array([-0.1, 0.0, 1 / 3]), np.array([1.0, 2.5e-7, 1e300]))
+        result = ReconstructionResult(grid_shape=shape, rect=rect, values=values, report=None, model=None)
+        got, want = tmp_path / "got.txt", tmp_path / "want.txt"
+        write_value_grid(got, result)
+        write_value_grid_per_value(want, result)
+        assert got.read_bytes() == want.read_bytes()
+        assert np.array_equal(np.loadtxt(got, skiprows=1, ndmin=1), values)
