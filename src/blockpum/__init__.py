@@ -28,7 +28,6 @@ from .errors import (
     PointOutsideBox,
     SameBasin,
     SingularLocalSystem,
-    SupportExceedsNeighborhood,
 )
 from .geometry import (
     Box,
@@ -44,13 +43,10 @@ from .geometry import (
 )
 from .kernels import (
     Kernel,
-    SparseKernelMatrix,
     dense_distance_matrix,
     make_kernel,
     phi_wendland_c2,
     phi_wu_c4,
-    register_kernel,
-    sparse_distance_matrix,
 )
 from .pum import (
     Covering,

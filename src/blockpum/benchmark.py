@@ -34,7 +34,7 @@ def run_search_benchmark(
         d_r = suggest_d_r(len(pts), dom.measure, dom.box.edge, dim)
         d_r_actual = _side_count(d_r, dim) ** dim
         delta = subdomain_radius(dom.box.edge, d_r_actual, dim)
-        q = blocks_per_side(dom.box.edge, delta, "cover")
+        q = blocks_per_side(dom.box.edge, delta)
         cases.append((pts, dom, d_r_actual, delta, q))
 
     t_builds = [np.inf] * len(cases)

@@ -323,12 +323,11 @@ def brute_force_range_search(points: np.ndarray, center, radius: float) -> Range
     return RangeResult(idx[order], dist[order], len(points))
 
 
-def blocks_per_side(edge: float, radius: float, mode: str = "cover") -> int:
+def blocks_per_side(edge: float, radius: float) -> int:
     """Number of blocks along one box side for a given search radius.
 
-    "paper" follows q = ceil(edge/radius); "cover" uses floor so that the
-    block width never drops below the radius and the 3^M neighborhood
-    provably covers every query ball.
+    q = floor(edge/radius), at least 1, so the block width never drops
+    below the radius and the 3^M neighborhood covers every query ball.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -336,8 +335,4 @@ def blocks_per_side(edge: float, radius: float, mode: str = "cover") -> int:
         return 1
     # a subnormal radius overflows the ratio to inf, which int() rejects
     ratio = min(edge / radius, np.finfo(float).max)
-    if mode == "paper":
-        return max(1, int(np.ceil(ratio)))
-    if mode == "cover":
-        return max(1, int(np.floor(ratio)))
-    raise ValueError(f"unknown block mode {mode!r}")
+    return max(1, int(np.floor(ratio)))

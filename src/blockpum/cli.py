@@ -100,8 +100,6 @@ def cmd_interpolate(args) -> int:
         kernel=make_kernel(args.kernel, args.epsilon),
         d_r=args.d_r,
         s_r=_eval_grid_count(args, nodes.dim),
-        block_mode=args.block_mode,
-        threads=args.threads,
     )
     result = pum_interpolate(nodes, cfg, truth=truth)
     report = result.report.as_dict()
@@ -153,12 +151,7 @@ def cmd_benchmark(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     cloud = io.load_oriented_cloud(args.points, step=args.step_size)
-    cfg = PumConfig(
-        kernel=make_kernel(args.kernel, args.epsilon),
-        d_r=args.d_r,
-        block_mode=args.block_mode,
-        threads=args.threads,
-    )
+    cfg = PumConfig(kernel=make_kernel(args.kernel, args.epsilon), d_r=args.d_r)
     shape = io.parse_grid_spec(args.grid)
     if len(shape) != 3:
         raise ValueError("--grid must be 3D, e.g. 50x50x50")
@@ -192,11 +185,7 @@ def cmd_separatrix_demo(args) -> int:
     # interpolate the surface height z over the (x, y) projection
     projected, z_vals = _dedupe_projection(pts.coords)
     nodes = PointSet(projected, z_vals)
-    cfg = PumConfig(
-        kernel=make_kernel("wendland-c2", args.epsilon),
-        s_r=_eval_grid_count(args, 2),
-        threads=args.threads,
-    )
+    cfg = PumConfig(kernel=make_kernel("wendland-c2", args.epsilon), s_r=_eval_grid_count(args, 2))
     result = pum_interpolate(nodes, cfg)
     report = result.report.as_dict()
     report["n_separatrix_points"] = len(pts)
@@ -229,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--threads", type=int, default=1, help="no effect; will be removed")
         p.add_argument("--report", default=None, help="write a JSON report here")
 
     p = sub.add_parser("interpolate", help="scattered-data interpolation run")
@@ -244,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.5)
     p.add_argument("--eval-grid", default=None, help="e.g. 40x40 or 20x20x20")
     p.add_argument("--d-r", type=int, default=None, help="override the subdomain grid count")
-    p.add_argument("--block-mode", choices=("cover", "paper"), default="cover")
     p.add_argument("--out", default=None, help="write eval points + predictions here")
     add_common(p)
     p.set_defaults(func_cmd=cmd_interpolate)
@@ -270,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--grid", default="50x50x50")
     p.add_argument("--d-r", type=int, default=None)
-    p.add_argument("--block-mode", choices=("cover", "paper"), default="cover")
     p.add_argument("--out", default=None, help="write the value grid here")
     add_common(p)
     p.set_defaults(func_cmd=cmd_reconstruct)

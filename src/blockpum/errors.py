@@ -20,11 +20,6 @@ class PointOutsideBox(BlockPumError):
     """A point lies outside the bounding box beyond tolerance."""
 
 
-class SupportExceedsNeighborhood(BlockPumError):
-    """Kernel support is wider than a block, so the 3^M neighborhood cannot
-    guarantee complete range-search results."""
-
-
 class InsufficientCoverage(BlockPumError):
     """Some evaluation point belongs to no subdomain that contains data."""
 

@@ -1,10 +1,6 @@
-"""Compactly supported radial kernels and kernel-distance matrices.
+"""Compactly supported radial kernels and dense kernel-distance matrices.
 
-Both shipped kernels vanish identically for r >= 1/epsilon, so kernel
-matrices between point sets whose mutual distances exceed the support are
-sparse; the block structure finds the nonzero pairs without scanning all
-of them. Globally supported kernels would make that wasteful, so they are
-only ever assembled densely.
+Both shipped kernels vanish identically for r >= 1/epsilon.
 
 The profiles run the ufuncs of the textbook expressions in the same order,
 so their values match those expressions to the last bit, but they write
@@ -20,11 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.spatial.distance import cdist
 
-from .blockpart import BlockStructure, range_join
-from .errors import SupportExceedsNeighborhood
 from .geometry import PointSet
 
 
@@ -78,8 +71,8 @@ class Kernel:
     def __post_init__(self):
         if self.name not in _REGISTRY:
             raise ValueError(f"unknown kernel {self.name!r}; have {sorted(_REGISTRY)}")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not (np.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
 
     @property
     def support_radius(self) -> float:
@@ -94,63 +87,8 @@ def make_kernel(name: str, epsilon: float) -> Kernel:
     return Kernel(name.replace("_", "-"), float(epsilon))
 
 
-def register_kernel(name: str, phi) -> None:
-    """Add a kernel profile phi(r, epsilon) under a new name."""
-    _REGISTRY[name.replace("_", "-")] = phi
-
-
-@dataclass(frozen=True)
-class SparseKernelMatrix:
-    """COO-style kernel matrix holding only entries inside the support."""
-
-    shape: tuple
-    rows: np.ndarray
-    cols: np.ndarray
-    values: np.ndarray
-
-    def to_csr(self) -> sp.csr_matrix:
-        return sp.csr_matrix((self.values, (self.rows, self.cols)), shape=self.shape)
-
-    def to_dense(self) -> np.ndarray:
-        return self.to_csr().toarray()
-
-    @property
-    def nnz(self) -> int:
-        return len(self.values)
-
-
 def dense_distance_matrix(a: PointSet, b: PointSet, kernel: Kernel) -> np.ndarray:
     """Full |A| x |B| matrix of phi(||a_i - b_j||)."""
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
     return kernel(cdist(a.coords, b.coords))
-
-
-def sparse_distance_matrix(
-    a: PointSet, b: PointSet, kernel: Kernel, b_structure: BlockStructure
-) -> SparseKernelMatrix:
-    """Kernel matrix with only the entries where phi > 0.
-
-    ``b`` must be the point set indexed by ``b_structure``; for each row
-    point the block neighborhood yields every column within the support.
-    Entry (i, j) is stored iff ||a_i - b_j|| < 1/epsilon, matching where
-    the kernel is strictly positive.
-    """
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch")
-    if b_structure.points is not b.coords and len(b) != len(b_structure.points):
-        raise ValueError("b_structure does not index b")
-    support = kernel.support_radius
-    if support > b_structure.width and b_structure.q > 1:
-        raise SupportExceedsNeighborhood(
-            f"support {support:g} exceeds block width {b_structure.width:g}; "
-            "rebuild the structure in cover mode with radius >= 1/epsilon"
-        )
-    found = range_join(b_structure, a.coords, support)
-    inside = found.distances < support
-    return SparseKernelMatrix(
-        shape=(len(a), len(b)),
-        rows=found.rows()[inside],
-        cols=found.indices[inside],
-        values=kernel(found.distances[inside]),
-    )

@@ -69,6 +69,7 @@ from .errors import (
     warn_at_caller,
 )
 from .geometry import (
+    Box,
     ConvexDomain,
     PointSet,
     convex_hull,
@@ -112,8 +113,8 @@ class PumConfig:
 
     d_r / s_r are the requested subdomain-center and evaluation grid counts
     on the bounding rectangle (defaults: d_r from the node density rule,
-    s_r 40x40 in 2D and 20x20x20 in 3D). block_mode selects how the number
-    of blocks per side follows from the subdomain radius.
+    s_r 40x40 in 2D and 20x20x20 in 3D). ``delta_override`` replaces the
+    subdomain radius the grid count would give.
 
     ``threads`` has no effect: the local systems are solved in batches on
     the calling thread, which beat a thread pool over the same solves.
@@ -124,19 +125,17 @@ class PumConfig:
     kernel: Kernel
     d_r: int | None = None
     s_r: int | None = None
-    block_mode: str = "cover"
     delta_override: float | None = None
     threads: int = 1
 
     def __post_init__(self):
-        if self.block_mode not in ("cover", "paper"):
-            raise ValueError("block_mode must be 'cover' or 'paper'")
         if self.d_r is not None and self.d_r < 1:
             raise ValueError("d_r must be >= 1")
         if self.s_r is not None and self.s_r < 1:
             raise ValueError("s_r must be >= 1")
-        if self.delta_override is not None and self.delta_override <= 0:
-            raise ValueError("delta_override must be positive")
+        delta = self.delta_override
+        if delta is not None and not (np.isfinite(delta) and delta > 0):
+            raise ValueError(f"delta_override must be positive and finite, got {delta}")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
         if self.threads > 1:
@@ -152,9 +151,10 @@ class Covering:
 
     Only subdomains holding at least one data site survive. Subdomain j's
     data sites are ``members[ptr[j]:ptr[j+1]]``, by distance from its
-    center, then index. ``center_index`` is a cover-mode block structure
-    over the surviving centers, so the 3^M block neighborhood of any point
-    holds every subdomain containing it.
+    center, then index. ``center_index`` is a block structure over the
+    surviving centers whose blocks are at least one radius wide, so the
+    3^M block neighborhood of any point holds every subdomain containing
+    it.
     """
 
     centers: np.ndarray
@@ -392,13 +392,18 @@ def _build_covering(nodes, dom, cfg, eval_coords):
             warn_at_caller(f"covering too fine for the data, retrying with d_r={d_r}", EmptySubdomainPruned)
 
 
-def _capped_blocks(q: int, n: int, dim: int) -> int:
-    """``q`` lowered until q^M <= GRID_BLOCKS_PER_POINT * max(n, 1)."""
-    limit = GRID_BLOCKS_PER_POINT * max(n, 1)
-    q = min(q, int(limit ** (1.0 / dim)) + 1)
+def _block_index(pts: PointSet, box: Box, radius: float) -> BlockStructure:
+    """Block structure over ``pts`` whose 3^M neighborhoods hold every ball of ``radius``.
+
+    q starts at ``blocks_per_side(box.edge, radius)``, so no block is
+    narrower than the radius, and is lowered until
+    q^M <= GRID_BLOCKS_PER_POINT * max(n, 1).
+    """
+    dim, limit = pts.dim, GRID_BLOCKS_PER_POINT * max(len(pts), 1)
+    q = min(blocks_per_side(box.edge, radius), int(limit ** (1.0 / dim)) + 1)
     while q > 1 and q**dim > limit:
         q -= 1
-    return q
+    return build(pts, box, q)
 
 
 def _build_covering_once(nodes, dom, cfg, eval_coords, d_r):
@@ -411,8 +416,7 @@ def _build_covering_once(nodes, dom, cfg, eval_coords, d_r):
 
     t0 = time.perf_counter()
     centers = reduce_to_domain(grid_on_rect(dom.rect, d_r_actual), dom).coords
-    q = _capped_blocks(blocks_per_side(dom.box.edge, delta, cfg.block_mode), len(nodes), dim)
-    nodes_bs = build(nodes, dom.box, q)
+    nodes_bs = _block_index(nodes, dom.box, delta)
     t1 = time.perf_counter()
 
     ptr, members = _memberships(nodes_bs, centers, delta)
@@ -428,14 +432,13 @@ def _build_covering_once(nodes, dom, cfg, eval_coords, d_r):
             f"pruned {n_pruned} of {len(centers)} subdomains containing no data sites", EmptySubdomainPruned
         )
     centers = centers[occupied]
-    center_q = _capped_blocks(blocks_per_side(dom.box.edge, delta, "cover"), len(centers), dim)
     covering = Covering(
         centers=centers,
         radius=delta,
         # empty balls hold no members, so only their ends leave ptr
         ptr=np.concatenate(([0], ptr[occupied + 1])),
         members=members,
-        center_index=build(PointSet(centers), dom.box, center_q),
+        center_index=_block_index(PointSet(centers), dom.box, delta),
         d_requested=d_r_actual,
         n_pruned=n_pruned,
     )
@@ -452,7 +455,7 @@ def _build_covering_once(nodes, dom, cfg, eval_coords, d_r):
     t2 = time.perf_counter()
 
     extras = {
-        "q": q,
+        "q": nodes_bs.q,
         "t_structure_s": t1 - t0,
         "t_search_s": t2 - t1,
     }

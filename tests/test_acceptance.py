@@ -54,9 +54,7 @@ def _run_ladder(shape, func, raws, s_r):
     t0 = time.perf_counter()
     for raw in raws:
         nodes = _generate(shape, raw, func)
-        cfg = bp.PumConfig(
-            kernel=bp.make_kernel("wendland-c2", 0.5), block_mode="paper", s_r=s_r
-        )
+        cfg = bp.PumConfig(kernel=bp.make_kernel("wendland-c2", 0.5), s_r=s_r)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             result = bp.pum_interpolate(nodes, cfg, truth=lambda p: eval_test_function(func, p))
@@ -128,7 +126,7 @@ def test_criterion_01_block_search_matches_brute_force():
         dom = bp.convex_hull(pts)
         d_r = _side_count(bp.suggest_d_r(n, dom.measure, dom.box.edge, dim), dim) ** dim
         delta = bp.subdomain_radius(dom.box.edge, d_r, dim)
-        q = bp.blocks_per_side(dom.box.edge, delta, "cover")
+        q = bp.blocks_per_side(dom.box.edge, delta)
         bs = bp.build(pts, dom.box, q)
         assert delta <= bs.width or q == 1
         for _ in range(3):

@@ -200,7 +200,7 @@ class TestRangeSearch:
         rng = np.random.default_rng(seed)
         pts = bp.PointSet(rng.random((rng.integers(30, 400), dim)))
         radius = rng.uniform(0.02, 0.3)
-        q = bp.blocks_per_side(1.0, radius, "cover")
+        q = bp.blocks_per_side(1.0, radius)
         bs = bp.build(pts, bp.Box(0.0, 1.0, dim), q=q)
         assert radius <= bs.width
         center = rng.random(dim)
@@ -337,23 +337,18 @@ class TestRangeJoin:
 
 
 class TestBlocksPerSide:
-    def test_paper_mode_ceils(self):
-        assert bp.blocks_per_side(1.0, 0.3, "paper") == 4
-
     def test_cover_mode_floors(self):
-        assert bp.blocks_per_side(1.0, 0.3, "cover") == 3
+        assert bp.blocks_per_side(1.0, 0.3) == 3
 
     def test_huge_radius(self):
-        assert bp.blocks_per_side(1.0, 5.0, "cover") == 1
-        assert bp.blocks_per_side(1.0, 5.0, "paper") == 1
+        assert bp.blocks_per_side(1.0, 5.0) == 1
 
-    @pytest.mark.parametrize("mode", ["cover", "paper"])
-    def test_subnormal_radius_gives_finite_count(self, mode):
+    def test_subnormal_radius_gives_finite_count(self):
         # 1 / 1e-320 overflows to inf; the count is clamped to the largest float
-        q = bp.blocks_per_side(1.0, 1e-320, mode)
+        q = bp.blocks_per_side(1.0, 1e-320)
         assert q == int(np.finfo(float).max)
 
     def test_cover_width_never_below_radius(self):
         for radius in (0.011, 0.1, 0.249, 0.5, 0.9):
-            q = bp.blocks_per_side(1.0, radius, "cover")
+            q = bp.blocks_per_side(1.0, radius)
             assert 1.0 / q >= radius or q == 1

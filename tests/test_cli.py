@@ -146,12 +146,11 @@ class TestInterpolateCommand:
             if not key.startswith("t_"):
                 assert reps[0][key] == reps[1][key], key
 
-    @pytest.mark.parametrize("threads", ["0", "-2"])
-    def test_nonpositive_threads_exit_1(self, capsys, threads):
+    def test_nonfinite_epsilon_exit_1(self, capsys):
         code = run_cli("interpolate", "--gen", "halton", "--n", "300", "--shape", "triangle",
-                       "--func", "f2", "--threads", threads)
+                       "--func", "f2", "--epsilon", "nan")
         assert code == 1
-        assert "threads must be >= 1" in capsys.readouterr().err
+        assert "epsilon must be positive and finite, got nan" in capsys.readouterr().err
 
 
 class TestGenPointsCommand:

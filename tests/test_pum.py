@@ -23,7 +23,7 @@ from blockpum.pum import (
     BLEND_CHUNK,
     BLEND_STEP_ENTRIES,
     GRID_BLOCKS_PER_POINT,
-    _capped_blocks,
+    _block_index,
     _fit_subdomains,
     _kernel_stack,
     _side_count,
@@ -147,6 +147,19 @@ class TestBuildCovering:
         assert cov.n_pruned > 0
         assert all(len(m) for m in cov.node_lists)
 
+    @staticmethod
+    def check_members(nodes, cov):
+        """Every surviving subdomain holds exactly its cdist ball, by (distance, index)."""
+        assert cov.ptr[0] == 0 and cov.ptr[-1] == len(cov.members) and len(cov.ptr) == cov.d + 1
+        assert (np.diff(cov.ptr) > 0).all()
+        for lo in range(0, cov.d, 256):
+            dist = cdist(cov.centers[lo : lo + 256], nodes.coords)
+            for j, row in enumerate(dist, start=lo):
+                members = cov.node_lists[j]
+                inside = np.flatnonzero(row < cov.radius)
+                assert np.array_equal(members, inside[np.lexsort((inside, row[inside]))]), j
+                assert np.shares_memory(members, cov.members)
+
     def test_member_table_matches_brute_force(self):
         # uniform sites with a hole: the subdomains inside it are pruned
         pts = np.random.default_rng(5).random((3000, 2))
@@ -155,13 +168,20 @@ class TestBuildCovering:
         with pytest.warns(EmptySubdomainPruned):
             cov = bp.fit_model(nodes, wendland_cfg(d_r=400)).covering
         assert cov.n_pruned > 0
-        assert cov.ptr[0] == 0 and cov.ptr[-1] == len(cov.members) and len(cov.ptr) == cov.d + 1
-        assert (np.diff(cov.ptr) > 0).all()
-        dist = cdist(cov.centers, nodes.coords)
-        for j, members in enumerate(cov.node_lists):
-            inside = np.flatnonzero(dist[j] < cov.radius)
-            assert np.array_equal(members, inside[np.lexsort((inside, dist[j, inside]))]), j
-            assert np.shares_memory(members, cov.members)
+        self.check_members(nodes, cov)
+
+        rng = np.random.default_rng(6)
+        clusters = 0.2 + 0.6 * rng.random((5, 2))
+        others = [
+            bp.halton(9000, 2, skip=3).coords,  # the default config once dropped members here
+            rng.random((4000, 3)),
+            clusters[rng.integers(5, size=3000)] + 0.03 * rng.standard_normal((3000, 2)),
+        ]
+        for pts in others:
+            nodes = bp.PointSet(pts, np.sin(3 * pts[:, 0]))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", EmptySubdomainPruned)
+                self.check_members(nodes, bp.fit_model(nodes, wendland_cfg()).covering)
 
     def test_insufficient_coverage_raises(self, unit_square_domain):
         # clustered nodes, spanning evaluation grid, explicit fine covering
@@ -217,13 +237,17 @@ class TestTinyRadius:
             self.fit(delta)
 
     def test_capped_blocks(self):
-        assert _capped_blocks(10**9, 300, 2) == 48  # 48^2 <= 8 * 300 < 49^2
-        assert _capped_blocks(43, 9898, 2) == 43
-        assert _capped_blocks(7, 306, 3) == 7
-        assert _capped_blocks(10**6, 0, 3) == 2
+        def q(n, dim, radius):
+            pts = bp.PointSet(np.random.default_rng(n).random((n, dim)))
+            return _block_index(pts, bp.Box(0.0, 1.0, dim), radius).q
+
+        assert q(300, 2, 1e-9) == 48  # 48^2 <= 8 * 300 < 49^2
+        assert q(9898, 2, 1 / 43.5) == 43
+        assert q(306, 3, 1 / 7.5) == 7
+        assert q(0, 3, 1e-6) == 2
         for n, dim in [(1, 2), (5, 3), (1000, 2), (777, 3)]:
-            q = _capped_blocks(10**9, n, dim)
-            assert q**dim <= GRID_BLOCKS_PER_POINT * n < (q + 1) ** dim
+            got = q(n, dim, 1e-9)
+            assert got**dim <= GRID_BLOCKS_PER_POINT * n < (got + 1) ** dim
 
 
 class TestLocalSolve:
@@ -598,14 +622,6 @@ class TestPipeline:
         r2 = bp.pum_interpolate(nodes, cfg, truth=truth)
         assert np.array_equal(r1.values, r2.values)
 
-    def test_paper_mode_runs_close_to_cover_mode(self):
-        nodes = pentagon_nodes(2499)
-        truth = lambda p: eval_test_function("f1", p)
-        r_cover = bp.pum_interpolate(nodes, wendland_cfg(s_r=1600), truth=truth)
-        r_paper = bp.pum_interpolate(nodes, wendland_cfg(s_r=1600, block_mode="paper"), truth=truth)
-        assert r_cover.report.rmse < 1e-3
-        assert r_paper.report.rmse < 1e-3
-
     def test_locality_of_evaluation(self, pentagon_run):
         _, result = pentagon_run
         model = result.model
@@ -674,14 +690,14 @@ class TestPipeline:
 
     def test_conditioning_scale_smallest_rung(self):
         # soft anchor: the coarsest pentagon run conditions around 1e7
-        res = bp.pum_interpolate(pentagon_nodes(622), wendland_cfg(s_r=1600, block_mode="paper"))
+        res = bp.pum_interpolate(pentagon_nodes(622), wendland_cfg(s_r=1600))
         assert 1.3e6 <= res.report.max_cond <= 1.3e8
 
     @pytest.mark.slow
     def test_large_run_error_scale(self):
         # soft anchor: the densest pentagon configuration lands near 3e-7 RMSE
         truth = lambda p: eval_test_function("f1", p)
-        res = bp.pum_interpolate(pentagon_nodes(159994), wendland_cfg(s_r=1600, block_mode="paper"), truth=truth)
+        res = bp.pum_interpolate(pentagon_nodes(159994), wendland_cfg(s_r=1600), truth=truth)
         assert 3.05e-8 <= res.report.rmse <= 3.05e-6
 
 
@@ -700,7 +716,7 @@ def _per_subdomain(model, pts):
     |phi(|p - x_jk|) c_jk| over every local term.
     """
     box = model.domain.box
-    qbs = bp.build(bp.PointSet(pts), box, bp.blocks_per_side(box.edge, model.delta, "cover"))
+    qbs = bp.build(bp.PointSet(pts), box, bp.blocks_per_side(box.edge, model.delta))
     num = np.zeros(len(pts))
     den = np.zeros(len(pts))
     mag = np.zeros(len(pts))
@@ -954,6 +970,12 @@ class TestPredictInput:
 def test_config_rejects_nonpositive_threads(threads):
     with pytest.raises(ValueError):
         wendland_cfg(threads=threads)
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.1, np.nan, np.inf])
+def test_config_rejects_bad_delta_override(delta):
+    with pytest.raises(ValueError, match="delta_override must be positive and finite"):
+        wendland_cfg(delta_override=delta)
 
 
 class TestAutoCoarsening:
