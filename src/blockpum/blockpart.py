@@ -6,15 +6,20 @@ most one block width only ever has to look at the query's block and its
 <= 3^M - 1 existing neighbors. Block indices are 1-based and follow the
 strip numbering k = sum_m (k_m - 1) q^(M-m) + k_M.
 
-``range_search`` answers one query. ``range_join`` answers a whole batch
-in one vectorized pass. A block's 3^M neighbours form 3^(M-1) runs of
-``sorted_idx``, because the blocks k-1, k, k+1 along the last axis hold
-consecutive buckets; a per-block table of these runs, built on the first
-join and kept with the structure, costs 2 * 3^(M-1) integers per block
-(48 B in 2D, 144 B in 3D) whatever the point count. The join looks up
-one block per query, gathers all candidate pairs from its runs at once,
-filters them by distance and returns the hits as compressed sparse rows,
-each row exactly what ``range_search`` gives for that query.
+``range_join`` is the one block search: it answers a batch of queries
+in one vectorized pass, and ``range_search`` is its one-row case. A
+block's 3^M neighbours form 3^(M-1) runs of ``sorted_idx``, because the
+blocks k-1, k, k+1 along the last axis hold consecutive buckets; a
+per-block table of these runs, built on the first search and kept with
+the structure, costs 2 * 3^(M-1) integers per block (48 B in 2D, 144 B
+in 3D) whatever the point count. The join looks up one block per query,
+gathers all candidate pairs from its runs at once, filters them by
+distance and returns the hits as compressed sparse rows, each row
+exactly what ``brute_force_range_search`` gives for that query.
+
+``containing_query``, ``neighborhood_of``, ``strip_index`` and
+``block_index`` are the paper's per-point routines; the join does not
+call them, and they serve as its reference.
 """
 
 from __future__ import annotations
@@ -221,54 +226,33 @@ def _decompose(k: int, q: int, dim: int):
     return strips
 
 
-def _neighbor_candidates(bs: BlockStructure, p: np.ndarray):
-    """Concatenated buckets of the (clamped) block neighborhood of ``p``."""
-    strips = [strip_index(c, bs.box.lo, bs.width, bs.q) for c in p]
-    ranges = [range(max(1, s - 1), min(bs.q, s + 1) + 1) for s in strips]
-    chunks = []
-    for combo in itertools.product(*ranges):
-        k = block_index(combo, bs.q)
-        lo, hi = bs.starts[k - 1], bs.starts[k]
-        if hi > lo:
-            chunks.append(bs.sorted_idx[lo:hi])
-    if not chunks:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(chunks)
-
-
 def range_search(bs: BlockStructure, center, radius: float) -> RangeResult:
-    """All stored points within ``radius`` of ``center``.
+    """All stored points within ``radius`` of ``center``: row 0 of ``range_join``.
 
     Results are sorted ascending by distance, ties broken by ascending point
-    index. Complete whenever radius <= block width; centers outside the box
-    are clamped for the block lookup only (projection onto the box never
+    index. Complete whenever radius <= block width; a center outside the box
+    is clamped for the block lookup only (projection onto the box never
     moves the center farther from any stored point), distances are true.
     """
-    center = np.asarray(center, dtype=float)
-    clamped = np.clip(center, bs.box.lo, bs.box.hi)
-    cand = _neighbor_candidates(bs, clamped)
-    if len(cand) == 0:
-        return RangeResult(cand, np.empty(0), 0)
-    delta = bs.points[cand] - center
-    dist = np.sqrt(np.einsum("ij,ij->i", delta, delta))
-    keep = dist <= radius
-    idx, dist = cand[keep], dist[keep]
-    order = np.lexsort((idx, dist))
-    return RangeResult(idx[order], dist[order], len(cand))
+    found = range_join(bs, np.asarray(center, dtype=float)[None], radius)
+    return RangeResult(found.indices, found.distances, found.candidates)
 
 
 def range_join(bs: BlockStructure, queries, radius: float) -> JoinResult:
-    """``range_search`` for every row of ``queries`` in one vectorized pass.
+    """All stored points within ``radius`` of every row of ``queries``.
 
-    Row i of the result equals ``range_search(bs, queries[i], radius)``:
-    same indices, same distances, same (distance, index) order, and the
-    same candidates examined. Each query's candidates are the runs of its
-    block in ``bs.neighbor_runs``, built on the first join. Queries
-    outside the box are clamped for the block lookup only.
+    Row i holds the matches of ``queries[i]`` sorted by (distance, index),
+    as ``brute_force_range_search`` orders them. Complete whenever radius
+    <= block width. Query i's candidates are the buckets of the 3^M blocks
+    around its block, read as runs from ``bs.neighbor_runs``, built on the
+    first call. Queries outside the box are clamped for the block lookup
+    only. A NaN coordinate raises ValueError.
     """
     queries = np.asarray(queries, dtype=float)
     if queries.ndim != 2 or queries.shape[1] != bs.dim:
         raise ValueError(f"queries must be (n, {bs.dim}), got shape {queries.shape}")
+    if np.isnan(queries).any():
+        raise ValueError("queries must not contain NaN")
     counts = np.zeros(len(queries), dtype=np.int64)
     indices, distances = [np.empty(0, dtype=np.int64)], [np.empty(0)]
     candidates = 0

@@ -129,10 +129,12 @@ class PumConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.d_r is not None and self.d_r < 1:
-            raise ValueError("d_r must be >= 1")
-        if self.s_r is not None and self.s_r < 1:
-            raise ValueError("s_r must be >= 1")
+        for name in ("d_r", "s_r"):
+            count = getattr(self, name)
+            if count is not None and (
+                isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1
+            ):
+                raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
         delta = self.delta_override
         if delta is not None and not (np.isfinite(delta) and delta > 0):
             raise ValueError(f"delta_override must be positive and finite, got {delta}")
@@ -253,7 +255,6 @@ class RunReport:
     members: MemberTable = field(repr=False, compare=False)
     nodes: PointSet = field(repr=False, compare=False)
     probes: np.ndarray = field(repr=False, compare=False)
-    rate: float | None = None
     timings: dict = field(default_factory=dict)
 
     _TIMING_KEYS = ("t_structure_s", "t_search_s", "t_solve_s", "t_eval_s", "t_total_s")
@@ -283,7 +284,6 @@ class RunReport:
             "max_cond": self.max_cond,
             "av_cond": self.av_cond,
             "fill_distance": self.fill_dist,
-            "rate": self.rate,
         }
         for key in self._TIMING_KEYS:
             out[key] = self.timings.get(key, 0.0)
@@ -779,19 +779,16 @@ def pum_interpolate(nodes: PointSet, cfg: PumConfig, eval_points=None, truth=Non
     array) enables the error metrics in the report.
     """
     model, eval_coords = _fit(nodes, cfg, eval_points, with_eval=True)
-    values, report = _evaluate(model, eval_coords, truth, "raise")
+    values, report = evaluate(model, eval_coords, truth)
     return PumResult(values=values, report=report, model=model, eval_points=eval_coords)
 
 
-def evaluate(model: PumModel, eval_points, truth=None):
-    """Evaluate a fitted model at given points and report metrics."""
-    return _evaluate(model, eval_points, truth, "raise")
-
-
-def _evaluate(model: PumModel, eval_points, truth, on_uncovered: str):
+def evaluate(model: PumModel, eval_points, truth=None, on_uncovered: str = "raise"):
     """Values of ``model.predict`` at the points, and their report.
 
-    The timings follow the rule in the RunReport docstring.
+    ``truth`` (callable or array) enables the error metrics, and
+    ``on_uncovered`` is passed to ``predict``. The timings follow the rule
+    in the RunReport docstring.
     """
     eval_coords = np.atleast_2d(np.asarray(eval_points, dtype=float))
     t0 = time.perf_counter()

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import PointSet, Rect
-from .pum import PumConfig, PumModel, RunReport, _evaluate, fit_model
+from .pum import PumConfig, PumModel, RunReport, evaluate, fit_model
 
 DEFAULT_STEP_FRACTION = 0.01  # of the bounding-box edge
 
@@ -96,7 +96,7 @@ def reconstruct(cloud: OrientedCloud, cfg: PumConfig, grid_shape=(50, 50, 50)) -
     augmented = augment(cloud)
     model = fit_model(augmented, cfg)
     coords = grid_coords(model.domain.rect, grid_shape)
-    values, report = _evaluate(model, coords, None, "nearest")
+    values, report = evaluate(model, coords, on_uncovered="nearest")
     return ReconstructionResult(
         grid_shape=tuple(grid_shape),
         rect=model.domain.rect,

@@ -129,12 +129,13 @@ def test_criterion_01_block_search_matches_brute_force():
         q = bp.blocks_per_side(dom.box.edge, delta)
         bs = bp.build(pts, dom.box, q)
         assert delta <= bs.width or q == 1
-        for _ in range(3):
-            center = dom.box.lo + rng.random(dim) * dom.box.edge
-            got = bp.range_search(bs, center, delta)
+        centers = dom.box.lo + rng.random((3, dim)) * dom.box.edge
+        found = bp.range_join(bs, centers, delta)
+        for i, center in enumerate(centers):
+            hits = slice(found.indptr[i], found.indptr[i + 1])
             want = bp.brute_force_range_search(pts.coords, center, delta)
-            assert np.array_equal(got.indices, want.indices)
-            assert np.allclose(got.distances, want.distances, rtol=0, atol=1e-14)
+            assert np.array_equal(found.indices[hits], want.indices)
+            assert np.array_equal(found.distances[hits], want.distances)
             checked += 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0

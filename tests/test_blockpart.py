@@ -24,6 +24,20 @@ def reference_build_buckets(coords, box, q):
     return {k: sorted(v) for k, v in buckets.items()}
 
 
+def assert_rows_match_brute_force(bs, pts, queries, radius, found):
+    """Every join row equals brute force bitwise, and the join examined, per
+    query, the buckets of the paper routines' 3^M block neighbourhood."""
+    candidates = 0
+    for i, center in enumerate(queries):
+        want = bp.brute_force_range_search(pts, center, radius)
+        hits = slice(found.indptr[i], found.indptr[i + 1])
+        assert np.array_equal(found.indices[hits], want.indices)
+        assert np.array_equal(found.distances[hits], want.distances)
+        block = bp.containing_query(bs, np.clip(center, bs.box.lo, bs.box.hi))
+        candidates += sum(len(bs.bucket(j)) for j in bp.neighborhood_of(bs, block).block_ids)
+    assert found.candidates == candidates
+
+
 class TestStripIndex:
     def test_first_strip(self):
         assert bp.strip_index(0.0, 0.0, 0.2, 5) == 1
@@ -214,7 +228,7 @@ class TestRangeSearch:
 class TestRangeJoin:
     @given(st.integers(0, 2**31 - 1), st.sampled_from([2, 3]), st.integers(1, 6))
     @settings(max_examples=60, deadline=None)
-    def test_rows_equal_range_search(self, seed, dim, q):
+    def test_rows_equal_brute_force(self, seed, dim, q):
         rng = np.random.default_rng(seed)
         # a clustered set leaves most blocks empty
         spread = rng.choice([1.0, 0.3])
@@ -231,14 +245,7 @@ class TestRangeJoin:
         )
         found = bp.range_join(bs, queries, radius)
         assert found.indptr[0] == 0 and found.indptr[-1] == len(found.indices)
-        candidates = 0
-        for i, center in enumerate(queries):
-            want = bp.range_search(bs, center, radius)
-            hits = slice(found.indptr[i], found.indptr[i + 1])
-            assert np.array_equal(found.indices[hits], want.indices)
-            assert np.array_equal(found.distances[hits], want.distances)
-            candidates += want.candidates
-        assert found.candidates == candidates
+        assert_rows_match_brute_force(bs, pts, queries, radius, found)
         assert np.array_equal(found.rows(), np.repeat(np.arange(len(queries)), np.diff(found.indptr)))
 
     @given(
@@ -259,23 +266,13 @@ class TestRangeJoin:
                 radius = fraction * bs.width
                 queries = np.vstack([rng.uniform(-0.5, 1.5, (size, dim)), pts[: size // 4]])
                 found = bp.range_join(bs, queries, radius)
-                candidates = 0
-                for i, center in enumerate(queries):
-                    want = bp.range_search(bs, center, radius)
-                    hits = slice(found.indptr[i], found.indptr[i + 1])
-                    assert np.array_equal(found.indices[hits], want.indices)
-                    assert np.array_equal(found.distances[hits], want.distances)
-                    candidates += want.candidates
-                assert found.candidates == candidates
+                assert_rows_match_brute_force(bs, pts, queries, radius, found)
                 tables.append(bs.neighbor_runs)
         assert all(t is tables[0] for t in tables)
 
-    def test_build_and_range_search_leave_the_table_unbuilt(self, rng):
+    def test_build_leaves_the_table_unbuilt(self, rng):
         pts = bp.PointSet(rng.random((200, 3)))
         bs = bp.build(pts, bp.Box(0.0, 1.0, 3), q=4)
-        assert "neighbor_runs" not in vars(bs)
-        for center in rng.random((5, 3)):
-            bp.range_search(bs, center, 0.2)
         assert "neighbor_runs" not in vars(bs)
         bp.range_join(bs, rng.random((5, 3)), 0.2)
         assert "neighbor_runs" in vars(bs)
@@ -308,11 +305,7 @@ class TestRangeJoin:
         with mock.patch.object(blockpart.np, "lexsort", wraps=np.lexsort) as fallback:
             found = bp.range_join(bs, queries, radius)
         assert fallback.called
-        for i, center in enumerate(queries):
-            want = bp.range_search(bs, center, radius)
-            hits = slice(found.indptr[i], found.indptr[i + 1])
-            assert np.array_equal(found.indices[hits], want.indices)
-            assert np.array_equal(found.distances[hits], want.distances)
+        assert_rows_match_brute_force(bs, pts, queries, radius, found)
 
     def test_spans_several_chunks(self, rng, monkeypatch):
         monkeypatch.setattr(blockpart, "JOIN_CHUNK", 7)
@@ -320,9 +313,7 @@ class TestRangeJoin:
         bs = bp.build(pts, bp.Box(0.0, 1.0, 2), q=5)
         queries = rng.random((30, 2))
         found = bp.range_join(bs, queries, 0.15)
-        for i, center in enumerate(queries):
-            want = bp.range_search(bs, center, 0.15)
-            assert np.array_equal(found.indices[found.indptr[i] : found.indptr[i + 1]], want.indices)
+        assert_rows_match_brute_force(bs, pts.coords, queries, 0.15, found)
 
     def test_empty_batch(self):
         bs = bp.build(bp.PointSet([[0.5, 0.5]]), bp.Box(0.0, 1.0, 2), q=2)
@@ -330,10 +321,25 @@ class TestRangeJoin:
         assert list(found.indptr) == [0]
         assert len(found.indices) == 0 and found.candidates == 0
 
-    def test_wrong_dimension_raises(self):
+    @pytest.mark.parametrize(
+        "search,query",
+        [(bp.range_join, [[0.5, 0.5, 0.5]]), (bp.range_search, [0.5, 0.5, 0.5])],
+        ids=["range_join", "range_search"],
+    )
+    def test_wrong_dimension_raises(self, search, query):
         bs = bp.build(bp.PointSet([[0.5, 0.5]]), bp.Box(0.0, 1.0, 2), q=2)
         with pytest.raises(ValueError):
-            bp.range_join(bs, [[0.5, 0.5, 0.5]], 0.3)
+            search(bs, query, 0.3)
+
+    @pytest.mark.parametrize(
+        "search,query",
+        [(bp.range_join, [[0.5, np.nan]]), (bp.range_search, [np.nan, 0.5])],
+        ids=["range_join", "range_search"],
+    )
+    def test_nan_query_raises(self, search, query):
+        bs = bp.build(bp.PointSet([[0.5, 0.5]]), bp.Box(0.0, 1.0, 2), q=2)
+        with pytest.raises(ValueError, match="NaN"):
+            search(bs, query, 0.3)
 
 
 class TestBlocksPerSide:

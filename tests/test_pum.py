@@ -978,6 +978,18 @@ def test_config_rejects_bad_delta_override(delta):
         wendland_cfg(delta_override=delta)
 
 
+@pytest.mark.parametrize("field", ["d_r", "s_r"])
+@pytest.mark.parametrize("count", [np.nan, np.inf, 2.5, 0, True], ids=["nan", "inf", "2.5", "0", "True"])
+def test_config_rejects_bad_grid_counts(field, count):
+    with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
+        wendland_cfg(**{field: count})
+
+
+def test_config_accepts_numpy_integer_counts():
+    cfg = wendland_cfg(d_r=np.int64(16), s_r=np.int32(400))
+    assert (cfg.d_r, cfg.s_r) == (16, 400)
+
+
 class TestAutoCoarsening:
     def test_sparse_nodes_retry_until_covered(self):
         nodes = bp.PointSet(bp.halton(4, 2).coords, np.ones(4))
