@@ -56,13 +56,12 @@ from .pum import (
     PumResult,
     RunReport,
     audit_partition_of_unity,
-    build_covering,
     evaluate,
     fit_model,
     local_solve,
     pum_interpolate,
     shepard_weights,
-    subdomain_radius,
+    subdomain_grid,
     suggest_d_r,
 )
 from .reconstruct import OrientedCloud, ReconstructionResult, augment, reconstruct

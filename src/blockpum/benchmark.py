@@ -16,8 +16,8 @@ import time
 import numpy as np
 
 from .blockpart import blocks_per_side, brute_force_range_search, build, range_join
-from .geometry import convex_hull, grid_on_rect, halton, reduce_to_domain
-from .pum import _side_count, subdomain_radius, suggest_d_r
+from .geometry import convex_hull, halton
+from .pum import subdomain_grid
 
 
 def run_search_benchmark(
@@ -32,11 +32,8 @@ def run_search_benchmark(
     for n in sizes:
         pts = halton(int(n), dim)
         dom = convex_hull(pts)
-        d_r = suggest_d_r(len(pts), dom.measure, dom.box.edge, dim)
-        d_r_actual = _side_count(d_r, dim) ** dim
-        delta = subdomain_radius(dom.box.edge, d_r_actual, dim)
-        q = blocks_per_side(dom.box.edge, delta)
-        cases.append((pts, dom, d_r_actual, delta, q))
+        _, centers, delta = subdomain_grid(dom, len(pts))
+        cases.append((pts, dom, centers, delta, blocks_per_side(dom.box.edge, delta)))
 
     t_builds = [np.inf] * len(cases)
     for _ in range(build_repeats):
@@ -46,9 +43,8 @@ def run_search_benchmark(
             t_builds[k] = min(t_builds[k], time.perf_counter() - t0)
 
     rows = []
-    for (pts, dom, d_r_actual, delta, q), t_build in zip(cases, t_builds):
+    for (pts, dom, centers, delta, q), t_build in zip(cases, t_builds):
         bs = build(pts, dom.box, q)
-        centers = reduce_to_domain(grid_on_rect(dom.rect, d_r_actual), dom).coords
 
         range_join(bs, centers[:1], delta)  # builds the run table, untimed
         t0 = time.perf_counter()

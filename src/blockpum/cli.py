@@ -65,9 +65,10 @@ def generate_nodes(shape: str, n_raw: int, skip: int = 0, func: str | None = Non
     return pts
 
 
-def _eval_grid_count(args, dim: int) -> int:
+def _eval_grid_count(args, dim: int) -> int | None:
+    """s_r from --eval-grid; None leaves the config's default, ``pum.DEFAULT_EVAL_GRID``."""
     if args.eval_grid is None:
-        return 1600 if dim == 2 else 8000
+        return None
     counts = io.parse_grid_spec(args.eval_grid)
     if len(counts) != dim:
         raise ValueError(f"--eval-grid {args.eval_grid!r} does not match dimension {dim}")

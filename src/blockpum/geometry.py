@@ -146,9 +146,8 @@ def convex_hull(pts: PointSet) -> ConvexDomain:
 
 
 def contains(dom: ConvexDomain, p) -> bool:
-    """True iff ``p`` satisfies every facet inequality within tolerance."""
-    p = np.asarray(p, dtype=float)
-    return bool(np.all(dom.normals @ p + dom.offsets <= dom.tol))
+    """True iff ``p`` satisfies every facet inequality within tolerance: ``membership_mask`` of one row."""
+    return bool(membership_mask(dom, np.asarray(p, dtype=float)[None, :])[0])
 
 
 def membership_mask(dom: ConvexDomain, coords: np.ndarray) -> np.ndarray:
@@ -156,7 +155,8 @@ def membership_mask(dom: ConvexDomain, coords: np.ndarray) -> np.ndarray:
 
     BLAS may round a half-space value by the rows of its pass, so a point
     whose value lies within rounding of the tolerance can fall on either
-    side; every other point gets the answer of a single pass.
+    side, and ``contains`` may answer it otherwise than a larger mask;
+    every other point gets the answer of a single pass.
     """
     step = max(1, MASK_CHUNK // len(dom.normals))
     mask = np.empty(len(coords), dtype=bool)

@@ -1,14 +1,16 @@
 """Partition-of-unity interpolation over a block-partitioned convex domain.
 
 Subdomain centers are laid out as a grid on the bounding rectangle, reduced
-to the hull, and given a common radius tied to the grid resolution. All
-point-in-subdomain queries run through the block structure, each
-subdomain gets one small dense kernel system, and local fits are blended
-with Shepard weights into the global interpolant. Each lookup is one
-batched block join, answered from the block structure's table of
-neighbour runs: centers against the data-site index at fit, points
-against the center index (built once at fit, its run table on the first
-evaluation) whenever the interpolant is evaluated.
+to the hull, and given a common radius tied to the grid resolution.
+``subdomain_grid`` is the one place that turns a requested center count
+into that grid, for the fit, its coarsening retry and the search
+benchmark alike. All point-in-subdomain queries run through the block
+structure, each subdomain gets one small dense kernel system, and local
+fits are blended with Shepard weights into the global interpolant. Each
+lookup is one batched block join, answered from the block structure's
+table of neighbour runs: centers against the data-site index at fit,
+points against the center index (built once at fit, its run table on the
+first evaluation) whenever the interpolant is evaluated.
 
 The local systems are solved in stacks: subdomains are grouped by member
 count, and each group goes through one batched Cholesky factorization
@@ -51,6 +53,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve as lin_solve
@@ -60,7 +63,6 @@ from scipy.spatial.distance import cdist
 
 from .blockpart import BlockStructure, blocks_per_side, build, range_join
 from .errors import (
-    EmptyReduction,
     EmptySubdomainPruned,
     InsufficientCoverage,
     KernelSupportTooSmall,
@@ -75,10 +77,15 @@ from .geometry import (
     convex_hull,
     fill_distance,
     grid_on_rect,
+    membership_mask,
     reduce_to_domain,
 )
 from .kernels import Kernel, phi_wendland_c2
 from .validation import mae, rmse
+
+# Default evaluation grid count on the bounding rectangle (s_r) by dimension:
+# 40x40 in 2D, 20x20x20 in 3D.
+DEFAULT_EVAL_GRID = {2: 1600, 3: 8000}
 
 # Fill-distance probes are subsampled beyond this count.
 FILL_PROBE_CAP = 20000
@@ -112,9 +119,11 @@ class PumConfig:
     """Tunables of one interpolation run.
 
     d_r / s_r are the requested subdomain-center and evaluation grid counts
-    on the bounding rectangle (defaults: d_r from the node density rule,
-    s_r 40x40 in 2D and 20x20x20 in 3D). ``delta_override`` replaces the
-    subdomain radius the grid count would give.
+    on the bounding rectangle (defaults: d_r from the node density rule of
+    ``suggest_d_r``, s_r from DEFAULT_EVAL_GRID, 40x40 in 2D and 20x20x20
+    in 3D). The subdomain radius follows from d_r, see ``subdomain_grid``.
+    Only a default d_r is coarsened when the covering fails; an explicit
+    one is used as given.
 
     ``threads`` has no effect: the local systems are solved in batches on
     the calling thread, which beat a thread pool over the same solves.
@@ -125,7 +134,6 @@ class PumConfig:
     kernel: Kernel
     d_r: int | None = None
     s_r: int | None = None
-    delta_override: float | None = None
     threads: int = 1
 
     def __post_init__(self):
@@ -135,9 +143,6 @@ class PumConfig:
                 isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1
             ):
                 raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
-        delta = self.delta_override
-        if delta is not None and not (np.isfinite(delta) and delta > 0):
-            raise ValueError(f"delta_override must be positive and finite, got {delta}")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
         if self.threads > 1:
@@ -164,7 +169,6 @@ class Covering:
     ptr: np.ndarray
     members: np.ndarray
     center_index: BlockStructure
-    d_requested: int
     n_pruned: int
 
     @property
@@ -293,8 +297,12 @@ class RunReport:
 def suggest_d_r(n: int, measure: float, edge: float, dim: int) -> int:
     """Subdomain-grid count on the rectangle from the node density.
 
-    floor(edge/2 * (n/measure)^(1/M))^M, clamped below by one: with this
-    choice the surviving center count is roughly n / 2^M.
+    floor(edge/2 * (n/measure)^(1/M))^M, clamped below by one. This is the
+    count requested on the whole bounding rectangle. Fewer subdomains
+    survive: the hull keeps only the centers inside it, and empty ones are
+    pruned. A Halton pentagon of ~9900 sites keeps 2587 of 3844; a
+    2000-point sphere cloud with its off-surface points keeps ~490 of 1331
+    in its hull, of which ~310 hold a site.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -306,18 +314,29 @@ def suggest_d_r(n: int, measure: float, edge: float, dim: int) -> int:
     return max(1, int(np.floor(raw))) ** dim
 
 
-def subdomain_radius(edge: float, d_r: int, dim: int) -> float:
-    """Common subdomain radius edge*sqrt(2)/d_r^(1/M)."""
-    if d_r < 1:
-        raise ValueError("d_r must be >= 1")
-    root = d_r ** (1.0 / dim)
-    if abs(root - round(root)) < 1e-9 * max(1.0, root):
-        root = round(root)
-    return float(edge * np.sqrt(2.0) / root)
+class SubdomainGrid(NamedTuple):
+    """``side`` centers per axis on the rectangle, the ``centers`` kept in the hull, their ``radius``."""
+
+    side: int
+    centers: np.ndarray
+    radius: float
 
 
-def _side_count(count: int, dim: int) -> int:
-    return max(1, int(round(count ** (1.0 / dim))))
+def subdomain_grid(dom: ConvexDomain, n: int, d_r: int | None = None) -> SubdomainGrid:
+    """The subdomain grid of ``n`` data sites on ``dom`` for a requested count ``d_r``.
+
+    ``d_r`` defaults to ``suggest_d_r``. The grid has side = round(d_r^(1/M))
+    centers per axis (at least one), spanning the bounding rectangle
+    inclusively; the centers inside the hull are kept, possibly none. All
+    subdomains share the radius edge*sqrt(2)/side, with edge that of the
+    bounding box, and the radius sets the block width of the fit's indexes.
+    """
+    dim = dom.dim
+    if d_r is None:
+        d_r = suggest_d_r(n, dom.measure, dom.box.edge, dim)
+    side = max(1, int(round(d_r ** (1.0 / dim))))
+    grid = grid_on_rect(dom.rect, side**dim).coords
+    return SubdomainGrid(side, grid[membership_mask(dom, grid)], float(dom.box.edge * np.sqrt(2.0) / side))
 
 
 def shepard_weights(p, covering: Covering, active=None) -> np.ndarray:
@@ -354,44 +373,6 @@ def _memberships(bs: BlockStructure, centers: np.ndarray, radius: float):
     return ptr, found.indices[inside]
 
 
-def build_covering(nodes: PointSet, dom: ConvexDomain, cfg: PumConfig, eval_points=None) -> Covering:
-    """Construct the subdomain covering and membership lists.
-
-    ``eval_points`` defaults to the reduced evaluation grid from the
-    config. Empty subdomains are pruned with a warning; if afterwards some
-    evaluation point is inside no surviving subdomain, the covering is not
-    regular and InsufficientCoverage is raised. When both d_r and the
-    radius were defaulted, the center grid is coarsened (larger radius)
-    and retried before giving up; sparse inputs need that, explicit
-    settings are respected as given.
-    """
-    eval_coords = _resolve_eval(dom, cfg, eval_points)
-    covering, _ = _build_covering(nodes, dom, cfg, eval_coords)
-    return covering
-
-
-def _resolve_eval(dom, cfg, eval_points):
-    if eval_points is not None:
-        return np.atleast_2d(np.ascontiguousarray(eval_points, dtype=float))
-    s_r = cfg.s_r if cfg.s_r is not None else (1600 if dom.dim == 2 else 8000)
-    return reduce_to_domain(grid_on_rect(dom.rect, s_r), dom).coords
-
-
-def _build_covering(nodes, dom, cfg, eval_coords):
-    """One covering attempt per d_r candidate, coarsening only defaults."""
-    auto = cfg.d_r is None and cfg.delta_override is None
-    d_r = cfg.d_r if cfg.d_r is not None else suggest_d_r(len(nodes), dom.measure, dom.box.edge, nodes.dim)
-    while True:
-        try:
-            return _build_covering_once(nodes, dom, cfg, eval_coords, d_r)
-        except (InsufficientCoverage, EmptyReduction):
-            n_side = _side_count(d_r, nodes.dim)
-            if not auto or n_side <= 1:
-                raise
-            d_r = max(1, n_side // 2) ** nodes.dim
-            warn_at_caller(f"covering too fine for the data, retrying with d_r={d_r}", EmptySubdomainPruned)
-
-
 def _block_index(pts: PointSet, box: Box, radius: float) -> BlockStructure:
     """Block structure over ``pts`` whose 3^M neighborhoods hold every ball of ``radius``.
 
@@ -406,40 +387,42 @@ def _block_index(pts: PointSet, box: Box, radius: float) -> BlockStructure:
     return build(pts, box, q)
 
 
-def _build_covering_once(nodes, dom, cfg, eval_coords, d_r):
-    dim = nodes.dim
-    n_side = _side_count(d_r, dim)
-    d_r_actual = n_side**dim
-    delta = cfg.delta_override
-    if delta is None:
-        delta = subdomain_radius(dom.box.edge, d_r_actual, dim)
+def _cover(nodes: PointSet, dom: ConvexDomain, grid: SubdomainGrid, eval_coords=None):
+    """The covering of ``grid`` over the data sites, and its costs.
 
+    Subdomains holding no data site are pruned with a warning. Raises
+    InsufficientCoverage when no subdomain holds a site, or when some row
+    of ``eval_coords`` (if given) lies in no surviving subdomain.
+
+    Returns ``(covering, q, t_index_s, t_search_s)``: ``q`` is the site
+    index's blocks per side, ``t_index_s`` the seconds spent building that
+    index, and ``t_search_s`` those of the memberships, the center index
+    and the coverage check.
+    """
     t0 = time.perf_counter()
-    centers = reduce_to_domain(grid_on_rect(dom.rect, d_r_actual), dom).coords
-    nodes_bs = _block_index(nodes, dom.box, delta)
+    nodes_bs = _block_index(nodes, dom.box, grid.radius)
     t1 = time.perf_counter()
 
-    ptr, members = _memberships(nodes_bs, centers, delta)
+    ptr, members = _memberships(nodes_bs, grid.centers, grid.radius)
     occupied = np.flatnonzero(np.diff(ptr))
     if not len(occupied):
         raise InsufficientCoverage(
-            f"none of the {len(centers)} subdomains of radius {delta:g} contains a data site; "
-            "increase the radius or the node density"
+            f"none of the {len(grid.centers)} subdomains of radius {grid.radius:g} contains a data site; "
+            "request fewer subdomains (d_r) or add data sites"
         )
-    n_pruned = len(centers) - len(occupied)
+    n_pruned = len(grid.centers) - len(occupied)
     if n_pruned:
         warn_at_caller(
-            f"pruned {n_pruned} of {len(centers)} subdomains containing no data sites", EmptySubdomainPruned
+            f"pruned {n_pruned} of {len(grid.centers)} subdomains containing no data sites", EmptySubdomainPruned
         )
-    centers = centers[occupied]
+    centers = grid.centers[occupied]
     covering = Covering(
         centers=centers,
-        radius=delta,
+        radius=grid.radius,
         # empty balls hold no members, so only their ends leave ptr
         ptr=np.concatenate(([0], ptr[occupied + 1])),
         members=members,
-        center_index=_block_index(PointSet(centers), dom.box, delta),
-        d_requested=d_r_actual,
+        center_index=_block_index(PointSet(centers), dom.box, grid.radius),
         n_pruned=n_pruned,
     )
 
@@ -450,16 +433,9 @@ def _build_covering_once(nodes, dom, cfg, eval_coords, d_r):
             missing = np.flatnonzero(~covered)
             raise InsufficientCoverage(
                 f"{len(missing)} evaluation points lie in no nonempty subdomain, "
-                f"first at {eval_coords[missing[0]]}; increase overlap or node density"
+                f"first at {eval_coords[missing[0]]}; request fewer subdomains (d_r) or add data sites"
             )
-    t2 = time.perf_counter()
-
-    extras = {
-        "q": nodes_bs.q,
-        "t_structure_s": t1 - t0,
-        "t_search_s": t2 - t1,
-    }
-    return covering, extras
+    return covering, nodes_bs.q, t1 - t0, time.perf_counter() - t1
 
 
 def local_solve(coords: np.ndarray, values: np.ndarray, kernel: Kernel, index: int = 0) -> LocalFit:
@@ -735,16 +711,35 @@ def _fit(nodes: PointSet, cfg: PumConfig, eval_points=None, with_eval: bool = Fa
     """The fit pipeline: node checks, hull, covering, local solves, model.
 
     With ``with_eval``, the evaluation points (``eval_points``, or the
-    config's reduced grid on the hull) must all lie in the covering; they
-    are returned with the model, else None is.
+    config's grid on the rectangle reduced to the hull) must all lie in the
+    covering; they are returned with the model, else None is. A covering
+    that fails with a default ``d_r`` is retried with half the grid side,
+    down to a single center; an explicit ``d_r`` is used as given.
     """
     t_begin = time.perf_counter()
     _check_nodes(nodes)
     t0 = time.perf_counter()
     dom = convex_hull(nodes)
     t_hull = time.perf_counter() - t0
-    eval_coords = _resolve_eval(dom, cfg, eval_points) if with_eval else None
-    covering, extras = _build_covering(nodes, dom, cfg, eval_coords)
+    eval_coords = None
+    if with_eval and eval_points is not None:
+        eval_coords = np.atleast_2d(np.ascontiguousarray(eval_points, dtype=float))
+    elif with_eval:
+        s_r = cfg.s_r if cfg.s_r is not None else DEFAULT_EVAL_GRID[dom.dim]
+        eval_coords = reduce_to_domain(grid_on_rect(dom.rect, s_r), dom).coords
+    d_r = cfg.d_r
+    while True:
+        t0 = time.perf_counter()
+        grid = subdomain_grid(dom, len(nodes), d_r)
+        t_grid = time.perf_counter() - t0
+        try:
+            covering, q, t_index, t_search = _cover(nodes, dom, grid, eval_coords)
+            break
+        except InsufficientCoverage:
+            if cfg.d_r is not None or grid.side == 1:
+                raise
+            d_r = (grid.side // 2) ** dom.dim
+            warn_at_caller(f"covering too fine for the data, retrying with d_r={d_r}", EmptySubdomainPruned)
     t0 = time.perf_counter()
     members = _fit_subdomains(nodes, covering.ptr, covering.members, cfg.kernel)
     t_solve = time.perf_counter() - t0
@@ -755,10 +750,10 @@ def _fit(nodes: PointSet, cfg: PumConfig, eval_points=None, with_eval: bool = Fa
         covering=covering,
         members=members,
         nodes=nodes,
-        q=extras["q"],
+        q=q,
         build_timings={
-            "t_structure_s": t_hull + extras["t_structure_s"],
-            "t_search_s": extras["t_search_s"],
+            "t_structure_s": t_hull + t_grid + t_index,
+            "t_search_s": t_search,
             "t_solve_s": t_solve,
             "t_total_s": time.perf_counter() - t_begin,
         },

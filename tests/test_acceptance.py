@@ -15,7 +15,6 @@ import pytest
 import blockpum as bp
 from blockpum.benchmark import run_search_benchmark
 from blockpum.kernels import phi_wendland_c2
-from blockpum.pum import _side_count
 from blockpum.reconstruct import OrientedCloud, augment
 from blockpum.separatrix import (
     UNRESOLVED,
@@ -124,8 +123,7 @@ def test_criterion_01_block_search_matches_brute_force():
         else:
             pts = bp.PointSet(rng.random((n, dim)))
         dom = bp.convex_hull(pts)
-        d_r = _side_count(bp.suggest_d_r(n, dom.measure, dom.box.edge, dim), dim) ** dim
-        delta = bp.subdomain_radius(dom.box.edge, d_r, dim)
+        delta = bp.subdomain_grid(dom, n).radius
         q = bp.blocks_per_side(dom.box.edge, delta)
         bs = bp.build(pts, dom.box, q)
         assert delta <= bs.width or q == 1

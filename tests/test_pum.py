@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg import solve as lin_solve
@@ -24,9 +24,9 @@ from blockpum.pum import (
     BLEND_STEP_ENTRIES,
     GRID_BLOCKS_PER_POINT,
     _block_index,
+    _cover,
     _fit_subdomains,
     _kernel_stack,
-    _side_count,
     _size_stacks,
 )
 from blockpum.reconstruct import OrientedCloud, default_step, grid_coords, reconstruct
@@ -66,15 +66,25 @@ class TestSuggestDr:
         assert bp.suggest_d_r(4096, 1.0, 1.0, 3) == 512
 
 
-class TestSubdomainRadius:
-    def test_2d(self):
-        assert bp.subdomain_radius(1.0, 256, 2) == pytest.approx(np.sqrt(2) / 16, rel=1e-15)
+def unit_cube_domain(edge=1.0):
+    corners = np.array(np.meshgrid(*[[0.0, edge]] * 3, indexing="ij")).reshape(3, -1).T
+    return bp.convex_hull(bp.PointSet(corners))
 
-    def test_single_subdomain(self):
-        assert bp.subdomain_radius(1.0, 1, 2) == pytest.approx(np.sqrt(2), rel=1e-15)
+
+class TestSubdomainRadius:
+    """The radius of ``subdomain_grid``: edge * sqrt(2) / side."""
+
+    def test_2d(self, unit_square_domain):
+        radius = bp.subdomain_grid(unit_square_domain, 1, 256).radius
+        assert radius == pytest.approx(np.sqrt(2) / 16, rel=1e-15)
+
+    def test_single_subdomain(self, unit_square_domain):
+        grid = bp.subdomain_grid(unit_square_domain, 1, 1)
+        assert grid.radius == pytest.approx(np.sqrt(2), rel=1e-15)
+        assert np.array_equal(grid.centers, [[0.5, 0.5]])
 
     def test_3d(self):
-        assert bp.subdomain_radius(2.0, 512, 3) == pytest.approx(2 * np.sqrt(2) / 8, rel=1e-15)
+        assert bp.subdomain_grid(unit_cube_domain(2.0), 1, 512).radius == pytest.approx(2 * np.sqrt(2) / 8, rel=1e-15)
 
 
 class TestShepardWeights:
@@ -88,7 +98,6 @@ class TestShepardWeights:
             ptr=np.arange(d + 1),
             members=np.zeros(d, dtype=np.int64),
             center_index=bp.build(bp.PointSet(centers), box, q=1),
-            d_requested=d,
             n_pruned=0,
         )
 
@@ -121,29 +130,41 @@ class TestShepardWeights:
 
 class TestBuildCovering:
     def test_single_node_single_subdomain(self, unit_square_domain):
+        # the covering routine alone: a fit needs a hull, so three sites at least
         nodes = bp.PointSet([[0.3, 0.4]], [1.0])
-        cov = bp.build_covering(nodes, unit_square_domain, wendland_cfg(d_r=1, s_r=4))
+        cov = _cover(nodes, unit_square_domain, bp.subdomain_grid(unit_square_domain, 1, 1))[0]
         assert cov.d == 1
         assert list(cov.node_lists[0]) == [0]
+
+    def test_one_requested_subdomain_holds_every_site(self):
+        nodes = bp.PointSet([[0.1, 0.1], [0.9, 0.3], [0.4, 0.9]], [1.0, 2.0, 3.0])
+        cov = bp.fit_model(nodes, wendland_cfg(d_r=1)).covering
+        assert cov.d == 1 and np.array_equal(cov.centers, [[0.5, 0.5]])
+        assert list(cov.node_lists[0]) == [2, 1, 0]  # by distance from the center
 
     def test_dense_pentagon_covering_is_regular(self, pentagon_run):
         nodes, result = pentagon_run
         cov = result.model.covering
-        assert cov.d <= cov.d_requested
+        grid = bp.subdomain_grid(result.model.domain, len(nodes))
+        assert cov.d + cov.n_pruned == len(grid.centers) and cov.radius == grid.radius
         covered = np.zeros(result.report.s, bool)
         found = bp.range_join(cov.center_index, result.eval_points, cov.radius)
         covered[found.rows()[found.distances < cov.radius]] = True
         assert covered.all()
 
-    def test_empty_subdomains_warned_and_pruned(self, unit_square_domain):
-        # nodes only in one corner, centers spread over the square
-        nodes = bp.PointSet(np.random.default_rng(3).random((30, 2)) * 0.05, np.ones(30))
-        eval_pts = nodes.coords[:5]
+    @staticmethod
+    def holed_nodes():
+        """Uniform sites with a hole: the subdomains inside it hold no site."""
+        pts = np.random.default_rng(5).random((3000, 2))
+        pts = pts[np.linalg.norm(pts - 0.5, axis=1) > 0.25]
+        return bp.PointSet(pts, np.sin(3 * pts[:, 0]))
+
+    def test_empty_subdomains_warned_and_pruned(self):
+        nodes = self.holed_nodes()
         with pytest.warns(EmptySubdomainPruned) as record:
-            cov = bp.build_covering(
-                nodes, unit_square_domain, wendland_cfg(d_r=25), eval_points=eval_pts
-            )
+            res = bp.pum_interpolate(nodes, wendland_cfg(d_r=400), eval_points=nodes.coords[:5])
         assert all(w.filename == __file__ for w in record)
+        cov = res.model.covering
         assert cov.n_pruned > 0
         assert all(len(m) for m in cov.node_lists)
 
@@ -161,10 +182,7 @@ class TestBuildCovering:
                 assert np.shares_memory(members, cov.members)
 
     def test_member_table_matches_brute_force(self):
-        # uniform sites with a hole: the subdomains inside it are pruned
-        pts = np.random.default_rng(5).random((3000, 2))
-        pts = pts[np.linalg.norm(pts - 0.5, axis=1) > 0.25]
-        nodes = bp.PointSet(pts, np.sin(3 * pts[:, 0]))
+        nodes = self.holed_nodes()
         with pytest.warns(EmptySubdomainPruned):
             cov = bp.fit_model(nodes, wendland_cfg(d_r=400)).covering
         assert cov.n_pruned > 0
@@ -183,15 +201,20 @@ class TestBuildCovering:
                 warnings.simplefilter("ignore", EmptySubdomainPruned)
                 self.check_members(nodes, bp.fit_model(nodes, wendland_cfg()).covering)
 
-    def test_insufficient_coverage_raises(self, unit_square_domain):
-        # clustered nodes, spanning evaluation grid, explicit fine covering
-        nodes = bp.PointSet(np.random.default_rng(4).random((40, 2)) * 0.05, np.ones(40))
-        grid = bp.grid_on_rect(bp.Rect(np.zeros(2), np.ones(2)), 100)
+    def test_insufficient_coverage_raises(self):
+        # evaluation points in the hole, explicit covering: no retry
+        nodes = self.holed_nodes()
+        probes = 0.5 + 0.01 * np.random.default_rng(4).random((5, 2))
         with pytest.warns(EmptySubdomainPruned):
-            with pytest.raises(InsufficientCoverage):
-                bp.build_covering(
-                    nodes, unit_square_domain, wendland_cfg(d_r=64), eval_points=grid.coords
-                )
+            with pytest.raises(InsufficientCoverage, match="5 evaluation points lie in no nonempty subdomain"):
+                bp.pum_interpolate(nodes, wendland_cfg(d_r=400), eval_points=probes)
+
+    def test_grid_with_no_center_in_the_hull_raises(self):
+        # a 2x2 grid sits on the rectangle's corners, all outside the pentagon
+        nodes = pentagon_nodes(600)
+        assert len(bp.subdomain_grid(bp.convex_hull(nodes), len(nodes), 4).centers) == 0
+        with pytest.raises(InsufficientCoverage, match="none of the 0 subdomains"):
+            bp.fit_model(nodes, wendland_cfg(d_r=4))
 
 
 class TestTinyRadius:
@@ -199,9 +222,17 @@ class TestTinyRadius:
     covering whose subdomains hold no data site raises InsufficientCoverage."""
 
     @staticmethod
-    def fit(delta):
-        pts = bp.halton(300, 2)
-        return bp.fit_model(pts.with_values(np.sin(3 * pts.coords[:, 0])), wendland_cfg(d_r=16, delta_override=delta))
+    def fit(delta, nodes=None):
+        """The d_r=16 fit, with the covering built for radius ``delta`` instead of
+        the grid's: no grid side gives a radius this far below its spacing."""
+        if nodes is None:
+            pts = bp.halton(300, 2)
+            nodes = pts.with_values(np.sin(3 * pts.coords[:, 0]))
+        dom, cfg = bp.convex_hull(nodes), wendland_cfg(d_r=16)
+        grid = bp.subdomain_grid(dom, len(nodes), cfg.d_r)._replace(radius=delta)
+        cov, q, _, _ = _cover(nodes, dom, grid)
+        members = _fit_subdomains(nodes, cov.ptr, cov.members, cfg.kernel)
+        return bp.PumModel(dom, cfg.kernel, cfg, cov, members, nodes, q, build_timings={})
 
     @pytest.fixture
     def grids(self, monkeypatch):
@@ -221,9 +252,21 @@ class TestTinyRadius:
         # every site sits on a subdomain center, so all 16 subdomains keep one
         # member and the center index is built too
         nodes = bp.grid_on_rect(bp.Rect(np.zeros(2), np.ones(2)), 16).with_values(np.arange(16.0))
-        model = bp.fit_model(nodes, wendland_cfg(d_r=16, delta_override=1e-9))
+        model = self.fit(1e-9, nodes)
         assert grids == [(16, 11), (16, 11)]
         assert np.array_equal(model.predict(nodes.coords), nodes.values)
+
+    def test_large_explicit_d_r_keeps_grids_bounded(self, grids):
+        # 300^2 centers give radius ~0.0047, unbounded 212 blocks per side in
+        # both indexes; ~1800 centers keep one site each
+        pts = bp.halton(300, 2)
+        nodes = pts.with_values(np.sin(3 * pts.coords[:, 0]))
+        with pytest.warns(EmptySubdomainPruned):
+            model = bp.fit_model(nodes, wendland_cfg(d_r=300**2))
+        assert grids == [(300, 48), (model.covering.d, 120)]
+        assert 120**2 <= GRID_BLOCKS_PER_POINT * model.covering.d < 121**2
+        assert (np.diff(model.covering.ptr) == 1).all()
+        assert_within_rounding(model.predict(nodes.coords), model, nodes.coords)
 
     def test_subnormal_radius_raises_insufficient_coverage(self, grids):
         # edge / 1e-320 overflows to inf; the grids are capped as for 1e-9
@@ -554,8 +597,8 @@ class TestDeferredFillDistance:
 
 
 class TestWarningLocation:
-    """Warnings from deep inside the package name the caller's line (build_covering
-    and pum_interpolate: TestBuildCovering, TestAutoCoarsening)."""
+    """Warnings from deep inside the package name the caller's line (pum_interpolate:
+    TestBuildCovering, TestAutoCoarsening)."""
 
     def test_fit_model(self):
         with pytest.warns(EmptySubdomainPruned) as record:
@@ -788,35 +831,36 @@ def reference_nearest(model, pts):
 
 
 def tie_probes(model):
-    """Uncovered probes at exactly the same cdist distance from two neighbouring
-    centers and nearer to no other center.
+    """Uncovered probes at exactly the same cdist distance from their two nearest
+    centers.
 
-    For each outermost layer of the center lattice along each axis k, a probe
-    sits 1.5 radii outside it, between two neighbours of the layer along the
-    next axis j, at a coordinate where both differences along j round to the
-    same magnitude, so the two distances agree to the last bit.
+    For each outermost layer of the center lattice along each axis k and each
+    other axis j, a probe sits 1.5 radii outside the layer, between two
+    neighbours of the layer along j, at the midpoint of their coordinates j or
+    one step from it. It is kept where cdist gives the two nearest centers the
+    same distance: where both differences along j round to the same
+    magnitude, or where the sum of squares or its root rounds them together.
     """
     centers = model.covering.centers
     dim = centers.shape[1]
     probes = []
     for k in range(dim):
-        j = (k + 1) % dim
-        rest = np.delete(np.arange(dim), j)
         for side, edge in ((-1.0, centers[:, k].min()), (1.0, centers[:, k].max())):
             layer = centers[centers[:, k] == edge]
-            for a in layer:
-                right = layer[(layer[:, rest] == a[rest]).all(axis=1) & (layer[:, j] > a[j])]
-                if not len(right):
-                    continue
-                b = right[np.argmin(right[:, j])]
-                mid = 0.5 * (a[j] + b[j])
-                for x in (mid, np.nextafter(mid, -np.inf), np.nextafter(mid, np.inf)):
-                    if x - a[j] == b[j] - x:
-                        p = a.copy()
-                        p[j] = x
-                        p[k] += side * 1.5 * model.delta
-                        probes.append(p)
-                        break
+            for j in np.delete(np.arange(dim), k):
+                rest = np.delete(np.arange(dim), j)
+                for a in layer:
+                    right = layer[(layer[:, rest] == a[rest]).all(axis=1) & (layer[:, j] > a[j])]
+                    if not len(right):
+                        continue
+                    mid = 0.5 * (a[j] + right[:, j].min())
+                    cand = np.repeat(a[None, :], 3, axis=0)
+                    cand[:, j] = [mid, np.nextafter(mid, -np.inf), np.nextafter(mid, np.inf)]
+                    cand[:, k] += side * 1.5 * model.delta
+                    two = np.sort(cdist(cand, centers), axis=1)[:, :2]
+                    tied = np.flatnonzero(two[:, 0] == two[:, 1])
+                    if len(tied):
+                        probes.append(cand[tied[0]])
     return np.array(probes).reshape(-1, dim)
 
 
@@ -887,6 +931,7 @@ class TestPredictOracles:
         assert model.predict(np.empty((0, dim))).shape == (0,)
 
     @given(st.integers(0, 2**31 - 1), st.sampled_from([2, 3]), st.booleans())
+    @example(4397583, 3, False)  # the helper's old lone transverse axis found no tie here
     @settings(max_examples=12, deadline=None)
     def test_nearest_fallback_property(self, seed, dim, clustered):
         model, _ = blend_model(seed, dim, clustered)
@@ -972,12 +1017,6 @@ def test_config_rejects_nonpositive_threads(threads):
         wendland_cfg(threads=threads)
 
 
-@pytest.mark.parametrize("delta", [0.0, -0.1, np.nan, np.inf])
-def test_config_rejects_bad_delta_override(delta):
-    with pytest.raises(ValueError, match="delta_override must be positive and finite"):
-        wendland_cfg(delta_override=delta)
-
-
 @pytest.mark.parametrize("field", ["d_r", "s_r"])
 @pytest.mark.parametrize("count", [np.nan, np.inf, 2.5, 0, True], ids=["nan", "inf", "2.5", "0", "True"])
 def test_config_rejects_bad_grid_counts(field, count):
@@ -1009,7 +1048,7 @@ class TestAutoCoarsening:
                 bp.pum_interpolate(nodes, wendland_cfg(d_r=4))
 
 
-def test_side_count_snaps_roots():
-    assert _side_count(512, 3) == 8
-    assert _side_count(1600, 2) == 40
-    assert _side_count(8000, 3) == 20
+def test_side_count_snaps_roots(unit_square_domain):
+    assert bp.subdomain_grid(unit_cube_domain(), 1, 512).side == 8
+    assert bp.subdomain_grid(unit_square_domain, 1, 1600).side == 40
+    assert bp.subdomain_grid(unit_cube_domain(), 1, 8000).side == 20
