@@ -6,16 +6,24 @@ most one block width only ever has to look at the query's block and its
 <= 3^M - 1 existing neighbors. Block indices are 1-based and follow the
 strip numbering k = sum_m (k_m - 1) q^(M-m) + k_M.
 
-``range_join`` is the one block search: it answers a batch of queries
-in one vectorized pass, and ``range_search`` is its one-row case. A
-block's 3^M neighbours form 3^(M-1) runs of ``sorted_idx``, because the
-blocks k-1, k, k+1 along the last axis hold consecutive buckets; a
-per-block table of these runs, built on the first search and kept with
-the structure, costs 2 * 3^(M-1) integers per block (48 B in 2D, 144 B
-in 3D) whatever the point count. The join looks up one block per query,
-gathers all candidate pairs from its runs at once, filters them by
-distance and returns the hits as compressed sparse rows, each row
-exactly what ``brute_force_range_search`` gives for that query.
+``join_pairs`` is the one block search: it answers a batch of queries
+in one vectorized pass and returns the hits as unordered (row, index,
+distance) triples. ``range_join`` orders them, and ``range_search`` is
+its one-row case. A block's 3^M neighbours form 3^(M-1) runs of
+``sorted_idx``, because the blocks k-1, k, k+1 along the last axis hold
+consecutive buckets; a per-block table of these runs, built on the first
+search and kept with the structure, costs 2 * 3^(M-1) integers per block
+(48 B in 2D, 144 B in 3D) whatever the point count. The join looks up
+one block per query, gathers all candidate pairs from its runs at once
+and filters them by distance. Distances are those of
+``scipy.spatial.distance.cdist``, bit for bit: the squared differences
+are added column by column, in order. ``range_join`` returns the hits
+as compressed sparse rows, each row exactly what
+``brute_force_range_search`` gives for that query.
+
+Every search needs radius <= block width unless the grid has a single
+block (q = 1), or some points in range would lie outside the 3^M
+neighbourhood; a wider radius raises ValueError.
 
 ``containing_query``, ``neighborhood_of``, ``strip_index`` and
 ``block_index`` are the paper's per-point routines; the join does not
@@ -30,6 +38,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .errors import PointOutsideBox
 from .geometry import Box, PointSet
@@ -37,11 +46,15 @@ from .geometry import Box, PointSet
 # Relative clamping tolerance for "inside the box" checks.
 BOX_TOL_REL = 1e-12
 
+# Relative slack of the radius <= block width check. q = floor(edge/radius)
+# rounds, so edge/q can fall a few ulps below the radius it was sized for.
+WIDTH_TOL_REL = 1e-12
+
 # Points per pass when build computes block codes: the pass's temporaries
 # stay in cache, so build time grows in step with the point count.
 BUILD_CHUNK = 16384
 
-# Queries per vectorized pass of range_join: only the filtered hits of
+# Queries per vectorized pass of join_pairs: only the filtered hits of
 # earlier chunks stay in memory, not their candidate pairs.
 JOIN_CHUNK = 2048
 
@@ -52,6 +65,15 @@ class RangeResult(NamedTuple):
     indices: np.ndarray
     distances: np.ndarray
     candidates: int  # how many stored points were examined
+
+
+class JoinPairs(NamedTuple):
+    """Hits of a batch of fixed-radius searches as (query row, index, distance) triples, in no set order."""
+
+    rows: np.ndarray
+    indices: np.ndarray
+    distances: np.ndarray
+    candidates: int  # stored points examined over all queries
 
 
 class JoinResult(NamedTuple):
@@ -144,8 +166,12 @@ def block_index(strips, q: int) -> int:
 
 def _strip_matrix(coords: np.ndarray, box: Box, width: float, q: int) -> np.ndarray:
     """Vectorized per-axis strip indices, clamped into [1, q]."""
-    raw = np.floor((coords - box.lo) / width).astype(np.int64) + 1
-    return np.clip(raw, 1, q)
+    scaled = coords - box.lo
+    scaled /= width
+    strips = np.floor(scaled, out=scaled).astype(np.int64)
+    strips += 1
+    np.maximum(strips, 1, out=strips)
+    return np.minimum(strips, q, out=strips)
 
 
 def _block_codes(strips: np.ndarray, q: int) -> np.ndarray:
@@ -230,9 +256,9 @@ def range_search(bs: BlockStructure, center, radius: float) -> RangeResult:
     """All stored points within ``radius`` of ``center``: row 0 of ``range_join``.
 
     Results are sorted ascending by distance, ties broken by ascending point
-    index. Complete whenever radius <= block width; a center outside the box
-    is clamped for the block lookup only (projection onto the box never
-    moves the center farther from any stored point), distances are true.
+    index. A center outside the box is clamped for the block lookup only
+    (projection onto the box never moves the center farther from any stored
+    point), distances are true. Raises ValueError as ``join_pairs`` does.
     """
     found = range_join(bs, np.asarray(center, dtype=float)[None], radius)
     return RangeResult(found.indices, found.distances, found.candidates)
@@ -241,66 +267,102 @@ def range_search(bs: BlockStructure, center, radius: float) -> RangeResult:
 def range_join(bs: BlockStructure, queries, radius: float) -> JoinResult:
     """All stored points within ``radius`` of every row of ``queries``.
 
-    Row i holds the matches of ``queries[i]`` sorted by (distance, index),
-    as ``brute_force_range_search`` orders them. Complete whenever radius
-    <= block width. Query i's candidates are the buckets of the 3^M blocks
-    around its block, read as runs from ``bs.neighbor_runs``, built on the
-    first call. Queries outside the box are clamped for the block lookup
-    only. A NaN coordinate raises ValueError.
+    The hits of ``join_pairs`` in compressed sparse rows: row i holds the
+    matches of ``queries[i]`` sorted by (distance, index), as
+    ``brute_force_range_search`` orders them. Raises ValueError as
+    ``join_pairs`` does.
+    """
+    rows, indices, distances, candidates = join_pairs(bs, queries, radius)
+    # complex values sort by real part, then imaginary part: one argsort
+    # orders the hits by (row, distance), rows being exact in float64. Only
+    # equal (row, distance) pairs need the index as a third key.
+    key = np.empty(len(rows), dtype=complex)
+    key.real, key.imag = rows, distances
+    order = np.argsort(key)
+    key = key[order]
+    if (key[1:] == key[:-1]).any():
+        order = np.lexsort((indices, distances, rows))
+    indptr = np.zeros(len(queries) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=len(queries)), out=indptr[1:])
+    return JoinResult(indptr, indices[order], distances[order], candidates)
+
+
+def join_pairs(bs: BlockStructure, queries, radius: float) -> JoinPairs:
+    """Every (query row, stored point, distance) with distance <= ``radius``, unordered.
+
+    The one block search. Query i's candidates are the buckets of the
+    3^M blocks around its block, read as runs from ``bs.neighbor_runs``,
+    built on the first call, in passes of JOIN_CHUNK queries. Queries
+    outside the box are clamped for the block lookup only. Raises
+    ValueError for queries of the wrong shape, a NaN coordinate, or a
+    radius wider than a block (beyond rounding) on a grid of q > 1 blocks
+    per side, where hits outside the 3^M neighbourhood would be lost.
     """
     queries = np.asarray(queries, dtype=float)
     if queries.ndim != 2 or queries.shape[1] != bs.dim:
         raise ValueError(f"queries must be (n, {bs.dim}), got shape {queries.shape}")
     if np.isnan(queries).any():
         raise ValueError("queries must not contain NaN")
-    counts = np.zeros(len(queries), dtype=np.int64)
-    indices, distances = [np.empty(0, dtype=np.int64)], [np.empty(0)]
-    candidates = 0
-    for lo in range(0, len(queries), JOIN_CHUNK):
-        chunk = queries[lo : lo + JOIN_CHUNK]
-        rows, idx, dist, examined = _join_chunk(bs, chunk, radius)
-        counts[lo : lo + len(chunk)] = np.bincount(rows, minlength=len(chunk))
-        indices.append(idx)
-        distances.append(dist)
-        candidates += examined
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    return JoinResult(indptr, np.concatenate(indices), np.concatenate(distances), candidates)
+    if bs.q > 1 and radius > bs.width * (1.0 + WIDTH_TOL_REL):
+        raise ValueError(
+            f"radius {radius:g} exceeds the block width {bs.width:g}: "
+            "build the structure with q <= blocks_per_side(edge, radius)"
+        )
+    # an empty batch still makes one (empty) chunk
+    starts = range(0, max(len(queries), 1), JOIN_CHUNK)
+    chunks = [_join_chunk(bs, queries[lo : lo + JOIN_CHUNK], radius, lo) for lo in starts]
+    if len(chunks) == 1:
+        return chunks[0]
+    rows, indices, distances, candidates = zip(*chunks)
+    return JoinPairs(np.concatenate(rows), np.concatenate(indices), np.concatenate(distances), sum(candidates))
 
 
-def _join_chunk(bs: BlockStructure, queries: np.ndarray, radius: float):
-    """Hits of one chunk as (row, index, distance), sorted by (row, distance, index)."""
+def _join_chunk(bs: BlockStructure, queries: np.ndarray, radius: float, offset: int) -> JoinPairs:
+    """Hits of one chunk of queries, the first of which is row ``offset``.
+
+    Array methods stand in for their ``np.`` wrappers, as in ``pum``'s
+    evaluation: each wrapper adds about a microsecond of dispatch.
+    """
     firsts, sizes = bs.neighbor_runs
-    strips = _strip_matrix(np.clip(queries, bs.box.lo, bs.box.hi), bs.box, bs.width, bs.q)
-    blocks = _block_codes(strips, bs.q) - 1
-    sizes = np.take(sizes, blocks, axis=0)
-    firsts = np.take(firsts, blocks, axis=0).ravel()
-    rows = np.repeat(np.arange(len(queries)), sizes.sum(axis=1))
+    clamped = np.maximum(queries, bs.box.lo)
+    np.minimum(clamped, bs.box.hi, out=clamped)
+    blocks = _block_codes(_strip_matrix(clamped, bs.box, bs.width, bs.q), bs.q) - 1
+    sizes = sizes.take(blocks, axis=0)
+    firsts = firsts.take(blocks, axis=0).ravel()
+    per_query = sizes.sum(axis=1)
     sizes = sizes.ravel()
     # candidate t of a (query, run) pair sits at sorted_idx[first + t]
-    run_ends = np.cumsum(sizes)
-    pos = np.arange(run_ends[-1]) + np.repeat(firsts - run_ends + sizes, sizes)
-    cand = bs.sorted_idx[pos]
-    delta = np.take(bs.points, cand, axis=0) - np.take(queries, rows, axis=0)
-    dist = np.sqrt(np.einsum("ij,ij->i", delta, delta))
-    keep = dist <= radius
-    rows, cand, dist = rows[keep], cand[keep], dist[keep]
-    # complex values sort by real part, then imaginary part: one argsort
-    # orders the hits by (row, distance), rows being exact in float64. Only
-    # equal (row, distance) pairs need the index as a third key.
-    key = np.empty(len(rows), dtype=complex)
-    key.real, key.imag = rows, dist
-    order = np.argsort(key)
-    key = key[order]
-    if (key[1:] == key[:-1]).any():
-        order = np.lexsort((cand, dist, rows))
-    return rows[order], cand[order], dist[order], len(pos)
+    run_ends = sizes.cumsum()
+    pos = (firsts - run_ends + sizes).repeat(sizes)
+    pos += np.arange(len(pos))
+    cand = bs.sorted_idx.take(pos)
+    delta = bs.points.take(cand, axis=0)
+    delta -= queries.repeat(per_query, axis=0)
+    dist = row_norms(delta)
+    rows = np.arange(len(queries)).repeat(per_query)
+    keep = (dist <= radius).nonzero()[0]
+    rows = rows[keep]
+    rows += offset
+    return JoinPairs(rows, cand[keep], dist[keep], len(pos))
+
+
+def row_norms(delta: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of an (n, M) array, M >= 2, which is overwritten.
+
+    The squares are formed in place and their columns added in order, as
+    ``cdist`` adds them, so the norms are cdist's to the last bit.
+    """
+    delta *= delta
+    sq = delta[:, 0] + delta[:, 1]
+    for k in range(2, delta.shape[1]):
+        sq += delta[:, k]
+    return np.sqrt(sq, out=sq)
 
 
 def brute_force_range_search(points: np.ndarray, center, radius: float) -> RangeResult:
-    """Reference fixed-radius search scanning all points; same order contract."""
-    center = np.asarray(center, dtype=float)
-    delta = np.asarray(points, dtype=float) - center
-    dist = np.sqrt(np.einsum("ij,ij->i", delta, delta))
+    """Reference fixed-radius search scanning all points with ``cdist``; same order contract."""
+    points = np.asarray(points, dtype=float)
+    dist = cdist(np.asarray(center, dtype=float)[None], points)[0]
     idx = np.flatnonzero(dist <= radius)
     dist = dist[idx]
     order = np.lexsort((idx, dist))

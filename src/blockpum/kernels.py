@@ -2,13 +2,13 @@
 
 Both shipped kernels vanish identically for r >= 1/epsilon.
 
-The profiles run the ufuncs of the textbook expressions in the same order,
-so their values match those expressions to the last bit, but they write
-into the arrays they allocate (t = eps*r, the cutoff and at most one
-polynomial buffer) instead of making one temporary per operation. Array
-input is never written to. A scalar stays a numpy scalar and goes through
-numpy's scalar arithmetic, as it does in the textbook expressions: its
-``**`` can round differently from the array ``power`` loop.
+The profiles form the powers of the cutoff (1 - eps*r)_+ by repeated
+products and their polynomial by Horner's rule, writing into the arrays
+they allocate (t = eps*r, the cutoff and at most one polynomial buffer)
+instead of making one temporary per operation. Array input is never
+written to. A scalar runs through the same loops as a 0-d array and
+comes back as a numpy scalar; every step is one IEEE operation, so
+``phi(r)`` and ``phi([r])[0]`` agree to the last bit.
 """
 
 from __future__ import annotations
@@ -21,35 +21,38 @@ from scipy.spatial.distance import cdist
 from .geometry import PointSet
 
 
-def _cutoff(t):
-    """(1 - t)_+ in a fresh array, or a numpy scalar for a scalar ``t``."""
-    cut = 1.0 - t
-    return np.maximum(cut, 0.0, out=cut if isinstance(cut, np.ndarray) else None)
+def _scaled(r, epsilon: float):
+    """t = eps*r and the cutoff (1 - t)_+, each in a fresh array, 0-d for a scalar ``r``."""
+    r = np.asarray(r, dtype=float)
+    t = np.multiply(epsilon, r, out=np.empty_like(r))
+    cut = np.subtract(1.0, t, out=np.empty_like(t))
+    return t, np.maximum(cut, 0.0, out=cut)
 
 
 def phi_wendland_c2(r, epsilon: float):
     """Wendland C2 kernel (1 - eps*r)^4_+ (4 eps*r + 1)."""
-    t = epsilon * np.asarray(r, dtype=float)
-    cut = _cutoff(t)
-    cut **= 4
+    t, cut = _scaled(r, epsilon)
+    cut *= cut
+    cut *= cut
     t *= 4.0
     t += 1.0
     cut *= t
-    return cut
+    return cut[()]  # a 0-d result becomes a numpy scalar
 
 
 def phi_wu_c4(r, epsilon: float):
     """Wu C4 kernel (1 - eps*r)^6_+ (5t^5 + 30t^4 + 72t^3 + 82t^2 + 36t + 6), t = eps*r."""
-    t = epsilon * np.asarray(r, dtype=float)
-    cut = _cutoff(t)
-    cut **= 6
-    poly = 5.0 * t
+    t, cut = _scaled(r, epsilon)
+    poly = np.multiply(5.0, t, out=np.empty_like(t))
     for c in (30.0, 72.0, 82.0, 36.0):
         poly += c
         poly *= t
     poly += 6.0
+    cut *= cut
+    np.multiply(cut, cut, out=t)  # t is free: (1 - t)^4
+    cut *= t
     cut *= poly
-    return cut
+    return cut[()]  # a 0-d result becomes a numpy scalar
 
 
 _REGISTRY = {

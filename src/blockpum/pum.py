@@ -27,7 +27,8 @@ and predicting never compute them. The table computes them, from
 eigenvalues of the same stacks, the first time they are read, and keeps
 them.
 
-Memberships come from the join as compressed sparse rows and stay so
+Memberships come from the ordered join (``range_join``) as compressed
+sparse rows, by distance from the center, then index, and stay so
 through the fit; per-subdomain member arrays (``Covering.node_lists``)
 are only made when read. The nearest-subdomain fallback finds its
 centers in a k-d tree over them, built on its first use.
@@ -36,6 +37,11 @@ A run report computes its fill distance, like the conditioning, only
 when it is first read: evaluation keeps the data sites and the probes,
 not the k-d tree query.
 
+Evaluation takes its (point, subdomain) pairs from the unordered join
+(``join_pairs``) and puts them in one order of its own, (subdomain,
+distance, point row): each pair occurs once, so this order, and with it
+every bit of the values, is the same however the join gathered them.
+
 The Shepard blend and the nearest-subdomain fallback get their local
 values from the same routine, which splits the touched subdomains by the
 (point, member) entries they hold in that call: subdomains at or below
@@ -43,9 +49,11 @@ values from the same routine, which splits the touched subdomains by the
 their entries, larger ones keep one distance/kernel/matrix-vector step
 each, where BLAS beats the per-entry gathers.
 
-Rows of (n, M) coordinate arrays are gathered with ``np.take(..., axis=0)``
+Rows of (n, M) coordinate arrays are gathered with ``take(..., axis=0)``
 on every hot path: it copies the same values as fancy indexing at a
-fraction of its cost on such narrow rows.
+fraction of its cost on such narrow rows. Evaluation calls array methods
+(``a.take``, ``a.repeat``) rather than their ``np.`` wrappers, whose
+dispatch took ~9 % of a 64-point ``predict`` (2-vCPU x86, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -61,7 +69,7 @@ from scipy.linalg.lapack import dpotrs as potrs
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .blockpart import BlockStructure, blocks_per_side, build, range_join
+from .blockpart import BlockStructure, blocks_per_side, build, join_pairs, range_join, row_norms
 from .errors import (
     EmptySubdomainPruned,
     InsufficientCoverage,
@@ -188,11 +196,9 @@ class Covering:
     def active(self, points):
         """(point row, subdomain, distance) for each point strictly inside a subdomain.
 
-        Sorted by point row, then distance, then subdomain.
+        The pairs come in no set order; ``PumModel._blend`` orders them.
         """
-        found = range_join(self.center_index, points, self.radius)
-        inside = found.distances < self.radius
-        return found.rows()[inside], found.indices[inside], found.distances[inside]
+        return join_pairs(self.center_index, points, _below(self.radius))[:3]
 
 
 @dataclass
@@ -215,6 +221,11 @@ class MemberTable:
     coords: np.ndarray
     coefficients: np.ndarray
     kernel: Kernel = field(repr=False)
+
+    @functools.cached_property
+    def sizes(self) -> np.ndarray:
+        """Member count of every subdomain."""
+        return np.diff(self.ptr)
 
     @functools.cached_property
     def cond(self) -> np.ndarray:
@@ -361,16 +372,19 @@ def shepard_weights(p, covering: Covering, active=None) -> np.ndarray:
     return w / total
 
 
+def _below(radius: float) -> float:
+    """The largest float below ``radius``: a join within it finds the points strictly inside."""
+    return float(np.nextafter(radius, 0.0))
+
+
 def _memberships(bs: BlockStructure, centers: np.ndarray, radius: float):
     """Strict-interior members of each ball, found through the block grid.
 
     Returned as compressed sparse rows ``(ptr, members)``: ball j holds
     ``members[ptr[j]:ptr[j+1]]``, in the join's (distance, index) order.
     """
-    found = range_join(bs, centers, radius)
-    inside = found.distances < radius
-    ptr = np.concatenate(([0], np.cumsum(inside)))[found.indptr]
-    return ptr, found.indices[inside]
+    found = range_join(bs, centers, _below(radius))
+    return found.indptr, found.indices
 
 
 def _block_index(pts: PointSet, box: Box, radius: float) -> BlockStructure:
@@ -606,21 +620,24 @@ class PumModel:
     def _blend(self, points):
         """Shepard numerator and denominator at ``points``.
 
-        The active (point, subdomain) pairs go by subdomain, then distance,
-        then row, and both sums accumulate pair by pair in that order, so
-        every point adds its subdomains in ascending order. Subdomains
-        taking one matrix-vector product in ``_local_values`` round by row
-        position, so this fixed order keeps their values reproducible to
-        the last bit.
+        ``Covering.active`` returns the active (point, subdomain) pairs in
+        no set order; one lexsort puts them by subdomain, then distance,
+        then row, a total order since no pair repeats, so the values do not
+        depend on how the join gathered the pairs. Both sums accumulate
+        pair by pair in that order, so every point adds its subdomains in
+        ascending order. Subdomains taking one matrix-vector product in
+        ``_local_values`` round by row position, so this fixed order keeps
+        their values reproducible to the last bit.
         """
         rows, subs, dists = self.covering.active(points)
         order = np.lexsort((rows, dists, subs))
         rows, subs, dists = rows[order], subs[order], dists[order]
-        local = self._local_values(points, rows, subs)
         w = phi_wendland_c2(dists, 1.0 / self.delta)
+        local = self._local_values(points, rows, subs)
+        local *= w
         num = np.zeros(len(points))
         den = np.zeros(len(points))
-        np.add.at(num, rows, w * local)
+        np.add.at(num, rows, local)
         np.add.at(den, rows, w)
         return num, den
 
@@ -632,35 +649,52 @@ class PumModel:
         matrix-vector product each, over their rows in the given order.
         """
         table = self.members
-        firsts = np.flatnonzero(np.diff(subs, prepend=-1))
-        present, counts = subs[firsts], np.diff(np.append(firsts, len(subs)))
-        step = counts * np.diff(table.ptr)[present] > BLEND_STEP_ENTRIES
+        # pairs firsts[i] : firsts[i] + counts[i] belong to subdomain present[i]
+        edges = np.empty(len(subs) + 1, dtype=bool)
+        edges[0] = edges[-1] = True
+        np.not_equal(subs[1:], subs[:-1], out=edges[1:-1])
+        cuts = edges.nonzero()[0]
+        firsts, counts = cuts[:-1], cuts[1:] - cuts[:-1]
+        present = subs[firsts]
+        step = counts * table.sizes[present] > BLEND_STEP_ENTRIES
+        if not step.any():
+            return self._vectorized_values(points, rows, subs)
         local = np.empty(len(rows))
-        small = ~np.repeat(step, counts)
+        small = ~step.repeat(counts)
         if small.any():
             local[small] = self._vectorized_values(points, rows[small], subs[small])
         for j, lo, n in zip(present[step], firsts[step], counts[step]):
             a, b = table.ptr[j], table.ptr[j + 1]
-            at = np.take(points, rows[lo : lo + n], axis=0)
+            at = points.take(rows[lo : lo + n], axis=0)
             local[lo : lo + n] = self.kernel(cdist(at, table.coords[a:b])) @ table.coefficients[a:b]
         return local
 
     def _vectorized_values(self, points, rows, subs):
-        """``_local_values`` for small subdomains, in passes of BLEND_CHUNK entries."""
+        """``_local_values`` for small subdomains, in passes of BLEND_CHUNK entries.
+
+        Distances come from ``row_norms``: the bits of the large-subdomain
+        step's ``cdist``.
+        """
         table = self.members
-        sizes = table.ptr[subs + 1] - table.ptr[subs]
-        ends = np.cumsum(sizes)
-        # no pair holds more than BLEND_STEP_ENTRIES < BLEND_CHUNK entries, so no pass is empty
-        cuts = np.searchsorted(ends, np.arange(BLEND_CHUNK, ends[-1], BLEND_CHUNK), side="right")
+        sizes = table.sizes[subs]
+        cuts = [0, len(rows)]
+        total = sizes.sum()
+        if total > BLEND_CHUNK:
+            # no pair holds more than BLEND_STEP_ENTRIES < BLEND_CHUNK entries, so no pass is empty
+            ends = sizes.cumsum()
+            cuts[1:1] = np.searchsorted(ends, np.arange(BLEND_CHUNK, total, BLEND_CHUNK), side="right")
         out = np.empty(len(rows))
-        for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, len(rows)]):
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
             n = sizes[lo:hi]
-            starts = np.cumsum(n) - n
+            starts = n.cumsum()
+            starts -= n
             # entry t of pair i is member row ptr[subs[i]] + (t - starts[i])
-            pos = np.arange(starts[-1] + n[-1]) + np.repeat(table.ptr[subs[lo:hi]] - starts, n)
-            delta = np.take(table.coords, pos, axis=0) - np.take(points, np.repeat(rows[lo:hi], n), axis=0)
-            dist = np.einsum("ij,ij->i", delta, delta)
-            terms = self.kernel(np.sqrt(dist, out=dist)) * table.coefficients[pos]
+            pos = (table.ptr[subs[lo:hi]] - starts).repeat(n)
+            pos += np.arange(len(pos))
+            delta = table.coords.take(pos, axis=0)
+            delta -= points.take(rows[lo:hi], axis=0).repeat(n, axis=0)
+            terms = self.kernel(row_norms(delta))
+            terms *= table.coefficients.take(pos)
             out[lo:hi] = np.add.reduceat(terms, starts)
         return out
 

@@ -2,8 +2,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 import blockpum as bp
 from blockpum import blockpart
@@ -188,7 +189,7 @@ class TestRangeSearch:
         got = bp.range_search(bs, (0.5, 0.5), 0.15)
         want = bp.brute_force_range_search(pts.coords, (0.5, 0.5), 0.15)
         assert np.array_equal(got.indices, want.indices)
-        assert np.allclose(got.distances, want.distances, rtol=0, atol=1e-14)
+        assert np.array_equal(got.distances, want.distances)
 
     def test_order_distance_then_index(self):
         # two points at the same distance from the center: index breaks the tie
@@ -206,7 +207,7 @@ class TestRangeSearch:
         got = bp.range_search(bs, center, bs.width)
         want = bp.brute_force_range_search(pts.coords, center, bs.width)
         assert np.array_equal(got.indices, want.indices)
-        assert np.allclose(got.distances, want.distances, rtol=0, atol=1e-14)
+        assert np.array_equal(got.distances, want.distances)
 
     @given(st.integers(0, 2**31 - 1), st.sampled_from([2, 3]))
     @settings(max_examples=40, deadline=None)
@@ -221,7 +222,7 @@ class TestRangeSearch:
         got = bp.range_search(bs, center, radius)
         want = bp.brute_force_range_search(pts.coords, center, radius)
         assert np.array_equal(got.indices, want.indices)
-        assert np.allclose(got.distances, want.distances, rtol=0, atol=1e-14)
+        assert np.array_equal(got.distances, want.distances)
         assert got.candidates <= len(pts)
 
 
@@ -340,6 +341,112 @@ class TestRangeJoin:
         bs = bp.build(bp.PointSet([[0.5, 0.5]]), bp.Box(0.0, 1.0, 2), q=2)
         with pytest.raises(ValueError, match="NaN"):
             search(bs, query, 0.3)
+
+
+class TestRadiusCheck:
+    """A radius wider than a block would lose the hits outside the 3^M
+    neighbourhood, so every search refuses it unless the grid has one block."""
+
+    @pytest.mark.parametrize("search", [bp.range_join, blockpart.join_pairs])
+    def test_join_refuses_radius_wider_than_block(self, search):
+        # 2000 uniform points, q = 8: radius 0.4 reaches three blocks out
+        pts = bp.PointSet(np.random.default_rng(8).random((2000, 2)))
+        bs = bp.build(pts, bp.Box(0.0, 1.0, 2), q=8)
+        with pytest.raises(ValueError, match="block width"):
+            search(bs, [[0.5, 0.5]], 0.4)
+
+    def test_search_refuses_radius_wider_than_block(self):
+        pts = bp.PointSet(np.random.default_rng(8).random((2000, 2)))
+        bs = bp.build(pts, bp.Box(0.0, 1.0, 2), q=8)
+        with pytest.raises(ValueError, match="block width"):
+            bp.range_search(bs, (0.5, 0.5), 0.4)
+
+    @pytest.mark.parametrize("radius", [0.4, 1.5, 10.0])
+    def test_single_block_takes_any_radius(self, radius):
+        pts = np.random.default_rng(8).random((2000, 2))
+        bs = bp.build(bp.PointSet(pts), bp.Box(0.0, 1.0, 2), q=1)
+        got = bp.range_search(bs, (0.5, 0.5), radius)
+        want = bp.brute_force_range_search(pts, (0.5, 0.5), radius)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.distances, want.distances)
+
+    @given(st.floats(0.01, 100.0), st.integers(1, 12), st.integers(-2, 2), st.sampled_from([2, 3]))
+    @example(1.0, 9, 1, 2)  # floor(1/0.11111111111111112) = 9, and 1/9 is one ulp narrower
+    @settings(max_examples=80, deadline=None)
+    def test_floor_sized_grid_never_refuses(self, edge, k, ulps, dim):
+        # a radius within a few ulps of edge/k, where q = floor(edge/radius) rounds
+        radius = edge / k
+        for _ in range(abs(ulps)):
+            radius = np.nextafter(radius, np.inf if ulps > 0 else 0.0)
+        q = bp.blocks_per_side(edge, radius)
+        pts = np.random.default_rng(k).random((50, dim)) * edge
+        bs = bp.build(bp.PointSet(pts), bp.Box(0.0, edge, dim), q=q)
+        found = bp.range_join(bs, pts[:5], radius)
+        assert_rows_match_brute_force(bs, pts, pts[:5], radius, found)
+
+
+def sorted_hits(rows, indices, distances):
+    """The hits ordered by (row, index), so two joins compare as multisets."""
+    order = np.lexsort((indices, rows))
+    return rows[order], indices[order], distances[order]
+
+
+class TestJoinPairs:
+    """``join_pairs`` finds the hits of ``range_join`` in no set order; both
+    give ``cdist``'s distances bit for bit."""
+
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.sampled_from([2, 3]),
+        st.integers(1, 6),
+        st.integers(0, 40),
+        st.sampled_from([1, 3, 7, 2048]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_same_hits_as_range_join(self, seed, dim, q, size, chunk):
+        rng = np.random.default_rng(seed)
+        pts = rng.random((rng.integers(1, 150), dim)) * rng.choice([1.0, 0.3])
+        bs = bp.build(bp.PointSet(pts), bp.Box(0.0, 1.0, dim), q=q)
+        radius = rng.uniform(0.0, bs.width)
+        queries = np.vstack([rng.uniform(-0.5, 1.5, (size, dim)), pts[: size // 4]])
+        with mock.patch.object(blockpart, "JOIN_CHUNK", chunk):
+            pairs = blockpart.join_pairs(bs, queries, radius)
+            found = bp.range_join(bs, queries, radius)
+        got = sorted_hits(pairs.rows, pairs.indices, pairs.distances)
+        want = sorted_hits(found.rows(), found.indices, found.distances)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        assert pairs.candidates == found.candidates
+
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([2, 3]), st.integers(1, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_distances_equal_cdist(self, seed, dim, q):
+        rng = np.random.default_rng(seed)
+        scale = rng.choice([1e-3, 1.0, 1e3])
+        pts = rng.random((rng.integers(1, 200), dim)) * scale
+        bs = bp.build(bp.PointSet(pts), bp.Box(0.0, scale, dim), q=q)
+        queries = rng.uniform(-0.2, 1.2, (30, dim)) * scale
+        full = cdist(queries, pts)
+        pairs = blockpart.join_pairs(bs, queries, bs.width)
+        found = bp.range_join(bs, queries, bs.width)
+        assert len(pairs.rows) == len(found.indices)
+        assert np.array_equal(pairs.distances, full[pairs.rows, pairs.indices])
+        assert np.array_equal(found.distances, full[found.rows(), found.indices])
+
+    def test_empty_batch(self):
+        bs = bp.build(bp.PointSet([[0.5, 0.5]]), bp.Box(0.0, 1.0, 2), q=2)
+        pairs = blockpart.join_pairs(bs, np.empty((0, 2)), 0.3)
+        assert len(pairs.rows) == len(pairs.indices) == len(pairs.distances) == 0
+        assert pairs.candidates == 0
+
+    @pytest.mark.parametrize("query", [[[0.5, 0.5, 0.5]], [0.5, 0.5], [[0.5, np.nan]]])
+    def test_bad_queries_raise_as_range_join(self, query):
+        bs = bp.build(bp.PointSet([[0.5, 0.5]]), bp.Box(0.0, 1.0, 2), q=2)
+        with pytest.raises(ValueError) as ordered:
+            bp.range_join(bs, query, 0.3)
+        with pytest.raises(ValueError) as unordered:
+            blockpart.join_pairs(bs, query, 0.3)
+        assert str(unordered.value) == str(ordered.value)
 
 
 class TestBlocksPerSide:

@@ -63,15 +63,22 @@ def wendland_c2_allocating(r, eps):
     """The Wendland C2 profile with one temporary per operation, the oracle of the in-place one."""
     t = eps * np.asarray(r, dtype=float)
     cut = np.maximum(1.0 - t, 0.0)
-    return cut**4 * (4.0 * t + 1.0)
+    cut2 = cut * cut
+    return (cut2 * cut2) * (4.0 * t + 1.0)
 
 
 def wu_c4_allocating(r, eps):
     """The Wu C4 profile with one temporary per operation, the oracle of the in-place one."""
     t = eps * np.asarray(r, dtype=float)
     cut = np.maximum(1.0 - t, 0.0)
+    cut2 = cut * cut
     poly = ((((5.0 * t + 30.0) * t + 72.0) * t + 82.0) * t + 36.0) * t + 6.0
-    return cut**6 * poly
+    return (cut2 * (cut2 * cut2)) * poly
+
+
+def wendland_c2_exact(t):
+    t = Fraction(t)
+    return (1 - t) ** 4 * (4 * t + 1) if t < 1 else Fraction(0)
 
 
 PROFILES = {"wendland-c2": (phi_wendland_c2, wendland_c2_allocating), "wu-c4": (phi_wu_c4, wu_c4_allocating)}
@@ -81,8 +88,8 @@ SCALED_R = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0), st.floats(
 
 
 class TestInPlaceProfiles:
-    """The in-place profiles equal the allocating expressions bit for bit, keep
-    their return types and never write to their input."""
+    """The in-place profiles equal the allocating product expressions bit for
+    bit, keep their return types and never write to their input."""
 
     @staticmethod
     def check(phi, ref, r, eps):
@@ -114,6 +121,47 @@ class TestInPlaceProfiles:
         r = scaled / eps
         for arg in (r, np.float64(r), np.array(r), [r, 1.0 / eps, 0.0], n, [n, 0, 2 * n], np.arange(n)):
             self.check(phi, ref, arg, eps)
+
+
+class TestProfileRounding:
+    # Largest error against the exact value of the profile at the float
+    # t = eps*r, in ulps of that value, measured over 108 000 draws (eps 0.1,
+    # 0.5, 1, 3.7; t uniform on [0, 1), near 1 and near 0): 5.49 for
+    # Wendland C2, 9.59 for Wu C4. First-order error analysis bounds them by
+    # 9 and 22: each power of the cutoff by repeated products adds one
+    # rounding per factor and per product, Horner's rule with positive
+    # coefficients two per step. The bounds below are the measured ones.
+    ULP_BOUND = {"wendland-c2": 6.0, "wu-c4": 10.0}
+    EXACT = {"wendland-c2": wendland_c2_exact, "wu-c4": lambda t: wu_c4_exact(t, 1)}
+
+    @pytest.mark.parametrize("name", sorted(PROFILES))
+    @pytest.mark.parametrize("eps", [0.1, 0.5, 3.7])
+    def test_within_measured_ulps_of_exact(self, name, eps):
+        phi, _ = PROFILES[name]
+        rng = np.random.default_rng([20161, int(eps * 10)])
+        t = np.concatenate([rng.uniform(0.0, 1.0, 1500), rng.uniform(0.999, 1.0, 300), rng.uniform(0.0, 1e-3, 200)])
+        r = t / eps
+        got = phi(r, eps)
+        worst = 0.0
+        for value, scaled in zip(got, eps * r):
+            exact = self.EXACT[name](float(scaled))
+            assert exact > 0
+            worst = max(worst, float(abs(Fraction(float(value)) - exact) / Fraction(np.spacing(float(exact)))))
+        assert worst <= self.ULP_BOUND[name]
+
+    @given(st.sampled_from(sorted(PROFILES)), st.floats(0.05, 20.0), SCALED_R, st.integers(0, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_scalar_equals_one_element_array(self, name, eps, scaled, at):
+        phi, _ = PROFILES[name]
+        r = scaled / eps
+        one = phi(np.array([r]), eps)
+        assert isinstance(phi(r, eps), np.float64)
+        for arg in (r, np.float64(r), np.array(r)):
+            assert np.array_equal(phi(arg, eps), one[0])
+        # the same value anywhere in a longer array
+        longer = np.random.default_rng(at).uniform(0.0, 1.2 / eps, 7)
+        longer[at] = r
+        assert np.array_equal(phi(longer, eps)[at], one[0])
 
 
 @pytest.mark.parametrize("phi,eps", [(phi_wendland_c2, 0.5), (phi_wendland_c2, 2.0), (phi_wu_c4, 0.5), (phi_wu_c4, 2.0)])

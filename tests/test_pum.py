@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.linalg import solve as lin_solve
 from scipy.spatial.distance import cdist
 
 import blockpum as bp
+from blockpum import blockpart
 from blockpum import pum as pum_module
 from blockpum.errors import (
     EmptySubdomainPruned,
@@ -970,6 +972,36 @@ class TestPredictOracles:
         n_max = max(len(members) for members in model.covering.node_lists)
         assert np.all(np.abs(got - want) <= 2 * n_max * np.finfo(float).eps * mag)
         assert np.array_equal(model.predict(pts, on_uncovered="nearest"), got)
+
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([2, 3]), st.booleans(), st.sampled_from([3, 2048]))
+    @settings(max_examples=12, deadline=None)
+    def test_permuted_batch_gives_permuted_values(self, seed, dim, clustered, chunk):
+        # The join returns its pairs in an order that follows the batch; the
+        # blend's sort fixes its own. Only a large subdomain's matrix-vector
+        # product rounds by row position, and its rows go by distance from
+        # the center, which a permutation keeps unless two distinct points
+        # lie at exactly the same distance; random points do not.
+        model, batch = blend_model(seed, dim, clustered)
+        batch = np.unique(batch, axis=0)
+        perm = np.random.default_rng([seed, 2]).permutation(len(batch))
+        with mock.patch.object(blockpart, "JOIN_CHUNK", chunk):
+            want = model.predict(batch)
+            got = model.predict(batch[perm])
+        assert np.array_equal(got, want[perm])
+
+    def test_predict_sorts_once_without_argsort_or_einsum(self, pentagon_run):
+        # the structure of the evaluation: the join leaves its pairs unsorted,
+        # the blend sorts them once, and no row norm goes through einsum
+        _, result = pentagon_run
+        pts = result.eval_points[:64]
+        with (
+            mock.patch.object(pum_module.np, "lexsort", wraps=np.lexsort) as lexsort,
+            mock.patch.object(pum_module.np, "argsort", wraps=np.argsort) as argsort,
+            mock.patch.object(pum_module.np, "einsum", wraps=np.einsum) as einsum,
+        ):
+            result.model.predict(pts)
+        assert lexsort.call_count == 1
+        assert not argsort.called and not einsum.called
 
     def test_out_of_box_matches_shepard_oracle(self):
         pts = bp.halton(900, 2)
