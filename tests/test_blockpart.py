@@ -321,11 +321,19 @@ class TestRangeJoin:
         found = bp.range_join(bs, np.empty((0, 2)), 0.3)
         assert list(found.indptr) == [0]
         assert len(found.indices) == 0 and found.candidates == 0
+        pairs = blockpart.join_pairs(bs, np.empty((0, 2)), 0.3)
+        assert len(pairs.rows) == len(pairs.indices) == len(pairs.distances) == 0
+        assert pairs.candidates == 0
 
     @pytest.mark.parametrize(
         "search,query",
-        [(bp.range_join, [[0.5, 0.5, 0.5]]), (bp.range_search, [0.5, 0.5, 0.5])],
-        ids=["range_join", "range_search"],
+        [
+            (bp.range_join, [[0.5, 0.5, 0.5]]),
+            (bp.range_search, [0.5, 0.5, 0.5]),
+            (blockpart.join_pairs, [[0.5, 0.5, 0.5]]),
+            (blockpart.join_pairs, [0.5, 0.5]),
+        ],
+        ids=["range_join", "range_search", "join_pairs", "join_pairs-1d"],
     )
     def test_wrong_dimension_raises(self, search, query):
         bs = bp.build(bp.PointSet([[0.5, 0.5]]), bp.Box(0.0, 1.0, 2), q=2)
@@ -334,8 +342,8 @@ class TestRangeJoin:
 
     @pytest.mark.parametrize(
         "search,query",
-        [(bp.range_join, [[0.5, np.nan]]), (bp.range_search, [np.nan, 0.5])],
-        ids=["range_join", "range_search"],
+        [(bp.range_join, [[0.5, np.nan]]), (bp.range_search, [np.nan, 0.5]), (blockpart.join_pairs, [[0.5, np.nan]])],
+        ids=["range_join", "range_search", "join_pairs"],
     )
     def test_nan_query_raises(self, search, query):
         bs = bp.build(bp.PointSet([[0.5, 0.5]]), bp.Box(0.0, 1.0, 2), q=2)
@@ -433,20 +441,6 @@ class TestJoinPairs:
         assert np.array_equal(pairs.distances, full[pairs.rows, pairs.indices])
         assert np.array_equal(found.distances, full[found.rows(), found.indices])
 
-    def test_empty_batch(self):
-        bs = bp.build(bp.PointSet([[0.5, 0.5]]), bp.Box(0.0, 1.0, 2), q=2)
-        pairs = blockpart.join_pairs(bs, np.empty((0, 2)), 0.3)
-        assert len(pairs.rows) == len(pairs.indices) == len(pairs.distances) == 0
-        assert pairs.candidates == 0
-
-    @pytest.mark.parametrize("query", [[[0.5, 0.5, 0.5]], [0.5, 0.5], [[0.5, np.nan]]])
-    def test_bad_queries_raise_as_range_join(self, query):
-        bs = bp.build(bp.PointSet([[0.5, 0.5]]), bp.Box(0.0, 1.0, 2), q=2)
-        with pytest.raises(ValueError) as ordered:
-            bp.range_join(bs, query, 0.3)
-        with pytest.raises(ValueError) as unordered:
-            blockpart.join_pairs(bs, query, 0.3)
-        assert str(unordered.value) == str(ordered.value)
 
 
 class TestBlocksPerSide:
