@@ -2,7 +2,7 @@
 
 from .blockpart import (
     BlockStructure,
-    JoinResult,
+    JoinPairs,
     Neighborhood,
     RangeResult,
     block_index,
@@ -10,8 +10,8 @@ from .blockpart import (
     brute_force_range_search,
     build,
     containing_query,
+    join_pairs,
     neighborhood_of,
-    range_join,
     range_search,
     strip_index,
 )

@@ -3,10 +3,11 @@
 The structure builds of all problem sizes are timed first, in rounds
 that build every size once, so a slow phase of the host hits all sizes
 alike instead of skewing their ratios. Then, for each size: answer one
-fixed-radius query per subdomain center with a single ``range_join``
+fixed-radius query per subdomain center with a single ``join_pairs``
 (timed after an untimed warm-up join that builds the run table, with
 candidate counts), time the brute-force scan on a query subsample, and
-check the join's rows against brute force on another subsample.
+check the join's rows, each put in brute force's (distance, index)
+order, against brute force on another subsample.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import time
 
 import numpy as np
 
-from .blockpart import blocks_per_side, brute_force_range_search, build, range_join
+from .blockpart import blocks_per_side, brute_force_range_search, build, join_pairs
 from .geometry import convex_hull, halton
 from .pum import subdomain_grid
 
@@ -46,9 +47,9 @@ def run_search_benchmark(
     for (pts, dom, centers, delta, q), t_build in zip(cases, t_builds):
         bs = build(pts, dom.box, q)
 
-        range_join(bs, centers[:1], delta)  # builds the run table, untimed
+        join_pairs(bs, centers[:1], delta)  # builds the run table, untimed
         t0 = time.perf_counter()
-        found = range_join(bs, centers, delta)
+        found = join_pairs(bs, centers, delta)
         t_search = time.perf_counter() - t0
 
         stride = max(1, len(centers) // brute_sample)
@@ -59,13 +60,16 @@ def run_search_benchmark(
         t_brute = time.perf_counter() - t0
 
         stride = max(1, len(centers) // check_sample)
+        # the join groups its hits by ascending row
+        indptr = np.searchsorted(found.rows, np.arange(len(centers) + 1))
         mismatches = 0
         for i in range(0, len(centers), stride)[:check_sample]:
-            hits = slice(found.indptr[i], found.indptr[i + 1])
+            indices = found.indices[indptr[i] : indptr[i + 1]]
+            distances = found.distances[indptr[i] : indptr[i + 1]]
+            order = np.lexsort((indices, distances))
             want = brute_force_range_search(pts.coords, centers[i], delta)
             if not (
-                np.array_equal(found.indices[hits], want.indices)
-                and np.array_equal(found.distances[hits], want.distances)
+                np.array_equal(indices[order], want.indices) and np.array_equal(distances[order], want.distances)
             ):
                 mismatches += 1
 

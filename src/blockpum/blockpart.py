@@ -7,9 +7,12 @@ most one block width only ever has to look at the query's block and its
 strip numbering k = sum_m (k_m - 1) q^(M-m) + k_M.
 
 ``join_pairs`` is the one block search: it answers a batch of queries
-in one vectorized pass and returns the hits as unordered (row, index,
-distance) triples. ``range_join`` orders them, and ``range_search`` is
-its one-row case. A block's 3^M neighbours form 3^(M-1) runs of
+in one vectorized pass per JOIN_CHUNK queries and returns the hits as
+(row, index, distance) triples, grouped by ascending query row and,
+within a row, in the order the block runs hold them, not by distance.
+``join_chunks`` hands out the same hits chunk by chunk, for callers that
+keep only part of each. ``range_search`` is the one-row case, ordered by
+(distance, index). A block's 3^M neighbours form 3^(M-1) runs of
 ``sorted_idx``, because the blocks k-1, k, k+1 along the last axis hold
 consecutive buckets; a per-block table of these runs, built on the first
 search and kept with the structure, costs 2 * 3^(M-1) integers per block
@@ -17,9 +20,8 @@ search and kept with the structure, costs 2 * 3^(M-1) integers per block
 one block per query, gathers all candidate pairs from its runs at once
 and filters them by distance. Distances are those of
 ``scipy.spatial.distance.cdist``, bit for bit: the squared differences
-are added column by column, in order. ``range_join`` returns the hits
-as compressed sparse rows, each row exactly what
-``brute_force_range_search`` gives for that query.
+are added column by column, in order. Each row holds exactly the points
+``brute_force_range_search`` finds for that query.
 
 Every search needs radius <= block width unless the grid has a single
 block (q = 1), or some points in range would lie outside the 3^M
@@ -68,29 +70,16 @@ class RangeResult(NamedTuple):
 
 
 class JoinPairs(NamedTuple):
-    """Hits of a batch of fixed-radius searches as (query row, index, distance) triples, in no set order."""
+    """Hits of a batch of fixed-radius searches as (query row, index, distance) triples.
+
+    Grouped by ascending query row; within a row, in block-run order (see
+    ``join_pairs``), not by distance.
+    """
 
     rows: np.ndarray
     indices: np.ndarray
     distances: np.ndarray
     candidates: int  # stored points examined over all queries
-
-
-class JoinResult(NamedTuple):
-    """Hits of a batch of fixed-radius searches as compressed sparse rows.
-
-    Query i's matches are ``indices[indptr[i]:indptr[i+1]]`` with their
-    ``distances``, sorted by (distance, index) as in RangeResult.
-    """
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    distances: np.ndarray
-    candidates: int  # stored points examined over all queries
-
-    def rows(self) -> np.ndarray:
-        """Query row of every hit."""
-        return np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr))
 
 
 @dataclass(frozen=True)
@@ -253,50 +242,49 @@ def _decompose(k: int, q: int, dim: int):
 
 
 def range_search(bs: BlockStructure, center, radius: float) -> RangeResult:
-    """All stored points within ``radius`` of ``center``: row 0 of ``range_join``.
+    """All stored points within ``radius`` of ``center``: ``join_pairs`` on one row.
 
     Results are sorted ascending by distance, ties broken by ascending point
-    index. A center outside the box is clamped for the block lookup only
-    (projection onto the box never moves the center farther from any stored
-    point), distances are true. Raises ValueError as ``join_pairs`` does.
+    index, as ``brute_force_range_search`` orders them. A center outside the
+    box is clamped for the block lookup only (projection onto the box never
+    moves the center farther from any stored point), distances are true.
+    Raises ValueError as ``join_pairs`` does.
     """
-    found = range_join(bs, np.asarray(center, dtype=float)[None], radius)
-    return RangeResult(found.indices, found.distances, found.candidates)
-
-
-def range_join(bs: BlockStructure, queries, radius: float) -> JoinResult:
-    """All stored points within ``radius`` of every row of ``queries``.
-
-    The hits of ``join_pairs`` in compressed sparse rows: row i holds the
-    matches of ``queries[i]`` sorted by (distance, index), as
-    ``brute_force_range_search`` orders them. Raises ValueError as
-    ``join_pairs`` does.
-    """
-    rows, indices, distances, candidates = join_pairs(bs, queries, radius)
-    # complex values sort by real part, then imaginary part: one argsort
-    # orders the hits by (row, distance), rows being exact in float64. Only
-    # equal (row, distance) pairs need the index as a third key.
-    key = np.empty(len(rows), dtype=complex)
-    key.real, key.imag = rows, distances
-    order = np.argsort(key)
-    key = key[order]
-    if (key[1:] == key[:-1]).any():
-        order = np.lexsort((indices, distances, rows))
-    indptr = np.zeros(len(queries) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=len(queries)), out=indptr[1:])
-    return JoinResult(indptr, indices[order], distances[order], candidates)
+    _, indices, distances, candidates = join_pairs(bs, np.asarray(center, dtype=float)[None], radius)
+    order = np.lexsort((indices, distances))
+    return RangeResult(indices[order], distances[order], candidates)
 
 
 def join_pairs(bs: BlockStructure, queries, radius: float) -> JoinPairs:
-    """Every (query row, stored point, distance) with distance <= ``radius``, unordered.
+    """Every (query row, stored point, distance) with distance <= ``radius``.
 
     The one block search. Query i's candidates are the buckets of the
     3^M blocks around its block, read as runs from ``bs.neighbor_runs``,
-    built on the first call, in passes of JOIN_CHUNK queries. Queries
-    outside the box are clamped for the block lookup only. Raises
-    ValueError for queries of the wrong shape, a NaN coordinate, or a
-    radius wider than a block (beyond rounding) on a grid of q > 1 blocks
-    per side, where hits outside the 3^M neighbourhood would be lost.
+    built on the first call, in passes of JOIN_CHUNK queries. Hits are
+    grouped by ascending query row. Within a row they come in block-run
+    order: run by run of the block's ``neighbor_runs`` row, and in
+    ``sorted_idx`` order within a run. That order depends on the block
+    structure alone, not on JOIN_CHUNK or on the other queries of the
+    batch. Queries outside the box are clamped for the block lookup only.
+    Raises ValueError for queries of the wrong shape, a NaN coordinate, or
+    a radius wider than a block (beyond rounding) on a grid of q > 1
+    blocks per side, where hits outside the 3^M neighbourhood would be
+    lost.
+    """
+    chunks = list(join_chunks(bs, queries, radius))
+    if len(chunks) == 1:
+        return chunks[0]
+    rows, indices, distances, candidates = zip(*chunks)
+    return JoinPairs(np.concatenate(rows), np.concatenate(indices), np.concatenate(distances), sum(candidates))
+
+
+def join_chunks(bs: BlockStructure, queries, radius: float):
+    """The hits of ``join_pairs``, one ``JoinPairs`` per pass of JOIN_CHUNK queries.
+
+    Rows count from the first query of the batch, and the chunks come in
+    row order, so concatenated they are ``join_pairs``' result; an empty
+    batch makes one empty chunk. The input is checked on the call, before
+    the first chunk is asked for.
     """
     queries = np.asarray(queries, dtype=float)
     if queries.ndim != 2 or queries.shape[1] != bs.dim:
@@ -308,13 +296,9 @@ def join_pairs(bs: BlockStructure, queries, radius: float) -> JoinPairs:
             f"radius {radius:g} exceeds the block width {bs.width:g}: "
             "build the structure with q <= blocks_per_side(edge, radius)"
         )
-    # an empty batch still makes one (empty) chunk
-    starts = range(0, max(len(queries), 1), JOIN_CHUNK)
-    chunks = [_join_chunk(bs, queries[lo : lo + JOIN_CHUNK], radius, lo) for lo in starts]
-    if len(chunks) == 1:
-        return chunks[0]
-    rows, indices, distances, candidates = zip(*chunks)
-    return JoinPairs(np.concatenate(rows), np.concatenate(indices), np.concatenate(distances), sum(candidates))
+    step = JOIN_CHUNK
+    starts = range(0, max(len(queries), 1), step)
+    return (_join_chunk(bs, queries[lo : lo + step], radius, lo) for lo in starts)
 
 
 def _join_chunk(bs: BlockStructure, queries: np.ndarray, radius: float, offset: int) -> JoinPairs:

@@ -27,10 +27,12 @@ and predicting never compute them. The table computes them, from
 eigenvalues of the same stacks, the first time they are read, and keeps
 them.
 
-Memberships come from the ordered join (``range_join``) as compressed
-sparse rows, by distance from the center, then index, and stay so
-through the fit; per-subdomain member arrays (``Covering.node_lists``)
-are only made when read. The nearest-subdomain fallback finds its
+Memberships come from the block join (``join_chunks``) as compressed
+sparse rows, with no sort: each subdomain's members are the hits of its
+center in the join's block-run order, which the block structure alone
+fixes, and stay so through the fit. Only the member indices and the
+per-center counts of each pass are kept, so the join's distances and
+candidates never pile up. The nearest-subdomain fallback finds its
 centers in a k-d tree over them, built on its first use.
 
 A run report computes its fill distance, like the conditioning, only
@@ -69,7 +71,7 @@ from scipy.linalg.lapack import dpotrs as potrs
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .blockpart import BlockStructure, blocks_per_side, build, join_pairs, range_join, row_norms
+from .blockpart import BlockStructure, blocks_per_side, build, join_chunks, join_pairs, row_norms
 from .errors import (
     EmptySubdomainPruned,
     InsufficientCoverage,
@@ -165,11 +167,11 @@ class Covering:
     """Subdomain centers with common radius, member table and center index.
 
     Only subdomains holding at least one data site survive. Subdomain j's
-    data sites are ``members[ptr[j]:ptr[j+1]]``, by distance from its
-    center, then index. ``center_index`` is a block structure over the
-    surviving centers whose blocks are at least one radius wide, so the
-    3^M block neighborhood of any point holds every subdomain containing
-    it.
+    data sites are ``members[ptr[j]:ptr[j+1]]``, in the block join's order
+    (see ``blockpart.join_pairs``), not by distance from its center.
+    ``center_index`` is a block structure over the surviving centers whose
+    blocks are at least one radius wide, so the 3^M block neighborhood of
+    any point holds every subdomain containing it.
     """
 
     centers: np.ndarray
@@ -182,11 +184,6 @@ class Covering:
     @property
     def d(self) -> int:
         return len(self.centers)
-
-    @functools.cached_property
-    def node_lists(self) -> list:
-        """Member array of each subdomain, as views of ``members``; built on first read."""
-        return np.split(self.members, self.ptr[1:-1])
 
     @functools.cached_property
     def center_tree(self) -> cKDTree:
@@ -381,10 +378,19 @@ def _memberships(bs: BlockStructure, centers: np.ndarray, radius: float):
     """Strict-interior members of each ball, found through the block grid.
 
     Returned as compressed sparse rows ``(ptr, members)``: ball j holds
-    ``members[ptr[j]:ptr[j+1]]``, in the join's (distance, index) order.
+    ``members[ptr[j]:ptr[j+1]]``, in the join's block-run order. Each
+    pass of the join leaves only its indices and its per-center counts.
     """
-    found = range_join(bs, centers, _below(radius))
-    return found.indptr, found.indices
+    counts = np.zeros(len(centers), dtype=np.int64)
+    members = []
+    for rows, indices, _, _ in join_chunks(bs, centers, _below(radius)):
+        # a pass's hits are grouped by ascending row
+        if len(rows):
+            counts[rows[0] : rows[-1] + 1] = np.bincount(rows - rows[0])
+        members.append(indices)
+    ptr = np.zeros(len(centers) + 1, dtype=np.int64)
+    np.cumsum(counts, out=ptr[1:])
+    return ptr, np.concatenate(members)
 
 
 def _block_index(pts: PointSet, box: Box, radius: float) -> BlockStructure:

@@ -128,12 +128,14 @@ def test_criterion_01_block_search_matches_brute_force():
         bs = bp.build(pts, dom.box, q)
         assert delta <= bs.width or q == 1
         centers = dom.box.lo + rng.random((3, dim)) * dom.box.edge
-        found = bp.range_join(bs, centers, delta)
+        found = bp.join_pairs(bs, centers, delta)
         for i, center in enumerate(centers):
-            hits = slice(found.indptr[i], found.indptr[i + 1])
+            # each row in brute force's (distance, index) order
+            hits = found.rows == i
+            order = np.lexsort((found.indices[hits], found.distances[hits]))
             want = bp.brute_force_range_search(pts.coords, center, delta)
-            assert np.array_equal(found.indices[hits], want.indices)
-            assert np.array_equal(found.distances[hits], want.distances)
+            assert np.array_equal(found.indices[hits][order], want.indices)
+            assert np.array_equal(found.distances[hits][order], want.distances)
             checked += 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
@@ -145,10 +147,10 @@ def _pu_audit(model, rng, eval_points=None, n_probes=1200):
     """den > 0 at every evaluation point of the run; Shepard sums == 1."""
     cov = model.covering
     if eval_points is not None:
-        found = bp.range_join(cov.center_index, eval_points, cov.radius)
+        found = bp.join_pairs(cov.center_index, eval_points, cov.radius)
         inside = found.distances < cov.radius
         weights = phi_wendland_c2(found.distances[inside], 1.0 / cov.radius)
-        den = np.bincount(found.rows()[inside], weights=weights, minlength=len(eval_points))
+        den = np.bincount(found.rows[inside], weights=weights, minlength=len(eval_points))
         assert den.min() > 0
     lo, hi = model.domain.rect.mins, model.domain.rect.maxs
     probes = lo + rng.random((n_probes, model.domain.dim)) * (hi - lo)

@@ -25,15 +25,26 @@ def reference_build_buckets(coords, box, q):
     return {k: sorted(v) for k, v in buckets.items()}
 
 
+def row_bounds(rows, n_queries):
+    """Where each query's hits start in a join, checking they are grouped by ascending row."""
+    assert (np.diff(rows) >= 0).all()
+    return np.searchsorted(rows, np.arange(n_queries + 1))
+
+
 def assert_rows_match_brute_force(bs, pts, queries, radius, found):
-    """Every join row equals brute force bitwise, and the join examined, per
-    query, the buckets of the paper routines' 3^M block neighbourhood."""
+    """Every join row, put in (distance, index) order, equals brute force
+    bitwise, and the join examined, per query, the buckets of the paper
+    routines' 3^M block neighbourhood."""
+    assert len(found.rows) == len(found.indices) == len(found.distances)
+    bounds = row_bounds(found.rows, len(queries))
     candidates = 0
     for i, center in enumerate(queries):
         want = bp.brute_force_range_search(pts, center, radius)
-        hits = slice(found.indptr[i], found.indptr[i + 1])
-        assert np.array_equal(found.indices[hits], want.indices)
-        assert np.array_equal(found.distances[hits], want.distances)
+        indices = found.indices[bounds[i] : bounds[i + 1]]
+        distances = found.distances[bounds[i] : bounds[i + 1]]
+        order = np.lexsort((indices, distances))
+        assert np.array_equal(indices[order], want.indices)
+        assert np.array_equal(distances[order], want.distances)
         block = bp.containing_query(bs, np.clip(center, bs.box.lo, bs.box.hi))
         candidates += sum(len(bs.bucket(j)) for j in bp.neighborhood_of(bs, block).block_ids)
     assert found.candidates == candidates
@@ -227,6 +238,8 @@ class TestRangeSearch:
 
 
 class TestRangeJoin:
+    """The batch range join, ``join_pairs``: its rows against brute force, its run table."""
+
     @given(st.integers(0, 2**31 - 1), st.sampled_from([2, 3]), st.integers(1, 6))
     @settings(max_examples=60, deadline=None)
     def test_rows_equal_brute_force(self, seed, dim, q):
@@ -244,10 +257,8 @@ class TestRangeJoin:
                 pts[:5],
             ]
         )
-        found = bp.range_join(bs, queries, radius)
-        assert found.indptr[0] == 0 and found.indptr[-1] == len(found.indices)
+        found = bp.join_pairs(bs, queries, radius)
         assert_rows_match_brute_force(bs, pts, queries, radius, found)
-        assert np.array_equal(found.rows(), np.repeat(np.arange(len(queries)), np.diff(found.indptr)))
 
     @given(
         st.integers(0, 2**31 - 1),
@@ -266,7 +277,7 @@ class TestRangeJoin:
             for size, fraction in batches:
                 radius = fraction * bs.width
                 queries = np.vstack([rng.uniform(-0.5, 1.5, (size, dim)), pts[: size // 4]])
-                found = bp.range_join(bs, queries, radius)
+                found = bp.join_pairs(bs, queries, radius)
                 assert_rows_match_brute_force(bs, pts, queries, radius, found)
                 tables.append(bs.neighbor_runs)
         assert all(t is tables[0] for t in tables)
@@ -275,7 +286,7 @@ class TestRangeJoin:
         pts = bp.PointSet(rng.random((200, 3)))
         bs = bp.build(pts, bp.Box(0.0, 1.0, 3), q=4)
         assert "neighbor_runs" not in vars(bs)
-        bp.range_join(bs, rng.random((5, 3)), 0.2)
+        bp.join_pairs(bs, rng.random((5, 3)), 0.2)
         assert "neighbor_runs" in vars(bs)
 
     @given(st.integers(0, 2**31 - 1), st.sampled_from([2, 3]), st.integers(1, 6))
@@ -296,44 +307,40 @@ class TestRangeJoin:
     def test_lattice_ties_keep_index_order(self, seed, dim, q, per_side):
         # points and queries on a lattice of spacing 1/per_side, a power of
         # two, so differences and distances are exact and equal distances
-        # from one query are exactly equal: the join must order them by index
+        # from one query are exactly equal: range_search must order them by index
         rng = np.random.default_rng(seed)
         lattice = np.indices((per_side + 1,) * dim).reshape(dim, -1).T / per_side
         pts = rng.permutation(lattice)
         bs = bp.build(bp.PointSet(pts), bp.Box(0.0, 1.0, dim), q=q)
         radius = min(bs.width, rng.integers(1, 3) / per_side)
-        queries = rng.integers(-1, per_side + 2, (40, dim)) / per_side
-        with mock.patch.object(blockpart.np, "lexsort", wraps=np.lexsort) as fallback:
-            found = bp.range_join(bs, queries, radius)
-        assert fallback.called
-        assert_rows_match_brute_force(bs, pts, queries, radius, found)
+        for center in rng.integers(-1, per_side + 2, (40, dim)) / per_side:
+            got = bp.range_search(bs, center, radius)
+            want = bp.brute_force_range_search(pts, center, radius)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.distances, want.distances)
 
     def test_spans_several_chunks(self, rng, monkeypatch):
         monkeypatch.setattr(blockpart, "JOIN_CHUNK", 7)
         pts = bp.PointSet(rng.random((300, 2)))
         bs = bp.build(pts, bp.Box(0.0, 1.0, 2), q=5)
         queries = rng.random((30, 2))
-        found = bp.range_join(bs, queries, 0.15)
+        found = bp.join_pairs(bs, queries, 0.15)
         assert_rows_match_brute_force(bs, pts.coords, queries, 0.15, found)
 
     def test_empty_batch(self):
         bs = bp.build(bp.PointSet([[0.5, 0.5]]), bp.Box(0.0, 1.0, 2), q=2)
-        found = bp.range_join(bs, np.empty((0, 2)), 0.3)
-        assert list(found.indptr) == [0]
-        assert len(found.indices) == 0 and found.candidates == 0
-        pairs = blockpart.join_pairs(bs, np.empty((0, 2)), 0.3)
+        pairs = bp.join_pairs(bs, np.empty((0, 2)), 0.3)
         assert len(pairs.rows) == len(pairs.indices) == len(pairs.distances) == 0
         assert pairs.candidates == 0
 
     @pytest.mark.parametrize(
         "search,query",
         [
-            (bp.range_join, [[0.5, 0.5, 0.5]]),
             (bp.range_search, [0.5, 0.5, 0.5]),
-            (blockpart.join_pairs, [[0.5, 0.5, 0.5]]),
-            (blockpart.join_pairs, [0.5, 0.5]),
+            (bp.join_pairs, [[0.5, 0.5, 0.5]]),
+            (bp.join_pairs, [0.5, 0.5]),
         ],
-        ids=["range_join", "range_search", "join_pairs", "join_pairs-1d"],
+        ids=["range_search", "join_pairs", "join_pairs-1d"],
     )
     def test_wrong_dimension_raises(self, search, query):
         bs = bp.build(bp.PointSet([[0.5, 0.5]]), bp.Box(0.0, 1.0, 2), q=2)
@@ -342,8 +349,8 @@ class TestRangeJoin:
 
     @pytest.mark.parametrize(
         "search,query",
-        [(bp.range_join, [[0.5, np.nan]]), (bp.range_search, [np.nan, 0.5]), (blockpart.join_pairs, [[0.5, np.nan]])],
-        ids=["range_join", "range_search", "join_pairs"],
+        [(bp.range_search, [np.nan, 0.5]), (bp.join_pairs, [[0.5, np.nan]])],
+        ids=["range_search", "join_pairs"],
     )
     def test_nan_query_raises(self, search, query):
         bs = bp.build(bp.PointSet([[0.5, 0.5]]), bp.Box(0.0, 1.0, 2), q=2)
@@ -355,7 +362,7 @@ class TestRadiusCheck:
     """A radius wider than a block would lose the hits outside the 3^M
     neighbourhood, so every search refuses it unless the grid has one block."""
 
-    @pytest.mark.parametrize("search", [bp.range_join, blockpart.join_pairs])
+    @pytest.mark.parametrize("search", [bp.join_pairs], ids=["join_pairs"])
     def test_join_refuses_radius_wider_than_block(self, search):
         # 2000 uniform points, q = 8: radius 0.4 reaches three blocks out
         pts = bp.PointSet(np.random.default_rng(8).random((2000, 2)))
@@ -389,42 +396,37 @@ class TestRadiusCheck:
         q = bp.blocks_per_side(edge, radius)
         pts = np.random.default_rng(k).random((50, dim)) * edge
         bs = bp.build(bp.PointSet(pts), bp.Box(0.0, edge, dim), q=q)
-        found = bp.range_join(bs, pts[:5], radius)
+        found = bp.join_pairs(bs, pts[:5], radius)
         assert_rows_match_brute_force(bs, pts, pts[:5], radius, found)
 
 
-def sorted_hits(rows, indices, distances):
-    """The hits ordered by (row, index), so two joins compare as multisets."""
-    order = np.lexsort((indices, rows))
-    return rows[order], indices[order], distances[order]
-
-
 class TestJoinPairs:
-    """``join_pairs`` finds the hits of ``range_join`` in no set order; both
-    give ``cdist``'s distances bit for bit."""
+    """``join_pairs`` finds brute force's hits, in an order that the block
+    structure alone fixes, with ``cdist``'s distances bit for bit."""
 
     @given(
         st.integers(0, 2**31 - 1),
         st.sampled_from([2, 3]),
         st.integers(1, 6),
         st.integers(0, 40),
-        st.sampled_from([1, 3, 7, 2048]),
     )
     @settings(max_examples=60, deadline=None)
-    def test_same_hits_as_range_join(self, seed, dim, q, size, chunk):
+    def test_same_hits_under_every_chunk(self, seed, dim, q, size):
+        # uniform or clustered sites; the hits of every row, in their order,
+        # are the same however the batch is cut into passes
         rng = np.random.default_rng(seed)
         pts = rng.random((rng.integers(1, 150), dim)) * rng.choice([1.0, 0.3])
         bs = bp.build(bp.PointSet(pts), bp.Box(0.0, 1.0, dim), q=q)
         radius = rng.uniform(0.0, bs.width)
         queries = np.vstack([rng.uniform(-0.5, 1.5, (size, dim)), pts[: size // 4]])
-        with mock.patch.object(blockpart, "JOIN_CHUNK", chunk):
-            pairs = blockpart.join_pairs(bs, queries, radius)
-            found = bp.range_join(bs, queries, radius)
-        got = sorted_hits(pairs.rows, pairs.indices, pairs.distances)
-        want = sorted_hits(found.rows(), found.indices, found.distances)
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b)
-        assert pairs.candidates == found.candidates
+        joins = []
+        for chunk in (1, 3, 2048):
+            with mock.patch.object(blockpart, "JOIN_CHUNK", chunk):
+                joins.append(bp.join_pairs(bs, queries, radius))
+        assert_rows_match_brute_force(bs, pts, queries, radius, joins[0])
+        for other in joins[1:]:
+            for a, b in zip(joins[0], other):
+                assert np.array_equal(a, b)
 
     @given(st.integers(0, 2**31 - 1), st.sampled_from([2, 3]), st.integers(1, 5))
     @settings(max_examples=40, deadline=None)
@@ -435,11 +437,9 @@ class TestJoinPairs:
         bs = bp.build(bp.PointSet(pts), bp.Box(0.0, scale, dim), q=q)
         queries = rng.uniform(-0.2, 1.2, (30, dim)) * scale
         full = cdist(queries, pts)
-        pairs = blockpart.join_pairs(bs, queries, bs.width)
-        found = bp.range_join(bs, queries, bs.width)
-        assert len(pairs.rows) == len(found.indices)
+        pairs = bp.join_pairs(bs, queries, bs.width)
+        assert len(pairs.rows) == np.count_nonzero(full <= bs.width)
         assert np.array_equal(pairs.distances, full[pairs.rows, pairs.indices])
-        assert np.array_equal(found.distances, full[found.rows(), found.indices])
 
 
 

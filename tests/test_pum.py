@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -29,6 +30,7 @@ from blockpum.pum import (
     _cover,
     _fit_subdomains,
     _kernel_stack,
+    _memberships,
     _size_stacks,
 )
 from blockpum.reconstruct import OrientedCloud, default_step, grid_coords, reconstruct
@@ -47,6 +49,16 @@ def pentagon_nodes(raw_n, func="f1"):
 def wendland_cfg(**kw):
     kw.setdefault("kernel", bp.make_kernel("wendland-c2", 0.5))
     return bp.PumConfig(**kw)
+
+
+def members_of(cov, j):
+    """Data sites of subdomain j, read from the covering's member table."""
+    return cov.members[cov.ptr[j] : cov.ptr[j + 1]]
+
+
+def member_lists(cov):
+    """Data sites of every subdomain, as views of the member table."""
+    return np.split(cov.members, cov.ptr[1:-1])
 
 
 @pytest.fixture(scope="module")
@@ -136,13 +148,13 @@ class TestBuildCovering:
         nodes = bp.PointSet([[0.3, 0.4]], [1.0])
         cov = _cover(nodes, unit_square_domain, bp.subdomain_grid(unit_square_domain, 1, 1))[0]
         assert cov.d == 1
-        assert list(cov.node_lists[0]) == [0]
+        assert list(members_of(cov, 0)) == [0]
 
     def test_one_requested_subdomain_holds_every_site(self):
         nodes = bp.PointSet([[0.1, 0.1], [0.9, 0.3], [0.4, 0.9]], [1.0, 2.0, 3.0])
         cov = bp.fit_model(nodes, wendland_cfg(d_r=1)).covering
         assert cov.d == 1 and np.array_equal(cov.centers, [[0.5, 0.5]])
-        assert list(cov.node_lists[0]) == [2, 1, 0]  # by distance from the center
+        assert sorted(members_of(cov, 0)) == [0, 1, 2]
 
     def test_dense_pentagon_covering_is_regular(self, pentagon_run):
         nodes, result = pentagon_run
@@ -150,8 +162,8 @@ class TestBuildCovering:
         grid = bp.subdomain_grid(result.model.domain, len(nodes))
         assert cov.d + cov.n_pruned == len(grid.centers) and cov.radius == grid.radius
         covered = np.zeros(result.report.s, bool)
-        found = bp.range_join(cov.center_index, result.eval_points, cov.radius)
-        covered[found.rows()[found.distances < cov.radius]] = True
+        found = bp.join_pairs(cov.center_index, result.eval_points, cov.radius)
+        covered[found.rows[found.distances < cov.radius]] = True
         assert covered.all()
 
     @staticmethod
@@ -168,27 +180,31 @@ class TestBuildCovering:
         assert all(w.filename == __file__ for w in record)
         cov = res.model.covering
         assert cov.n_pruned > 0
-        assert all(len(m) for m in cov.node_lists)
+        assert all(len(m) for m in member_lists(cov))
 
     @staticmethod
-    def check_members(nodes, cov):
-        """Every surviving subdomain holds exactly its cdist ball, by (distance, index)."""
+    def check_members(nodes, model):
+        """Every surviving subdomain holds exactly its cdist ball, and the member
+        table is the same however the join cuts the centers into passes."""
+        cov = model.covering
         assert cov.ptr[0] == 0 and cov.ptr[-1] == len(cov.members) and len(cov.ptr) == cov.d + 1
         assert (np.diff(cov.ptr) > 0).all()
         for lo in range(0, cov.d, 256):
             dist = cdist(cov.centers[lo : lo + 256], nodes.coords)
             for j, row in enumerate(dist, start=lo):
-                members = cov.node_lists[j]
-                inside = np.flatnonzero(row < cov.radius)
-                assert np.array_equal(members, inside[np.lexsort((inside, row[inside]))]), j
-                assert np.shares_memory(members, cov.members)
+                assert np.array_equal(np.sort(members_of(cov, j)), np.flatnonzero(row < cov.radius)), j
+        bs = _block_index(nodes, model.domain.box, cov.radius)
+        for chunk in (1, 3, 2048):
+            with mock.patch.object(blockpart, "JOIN_CHUNK", chunk):
+                ptr, members = _memberships(bs, cov.centers, cov.radius)
+            assert np.array_equal(ptr, cov.ptr) and np.array_equal(members, cov.members), chunk
 
     def test_member_table_matches_brute_force(self):
         nodes = self.holed_nodes()
         with pytest.warns(EmptySubdomainPruned):
-            cov = bp.fit_model(nodes, wendland_cfg(d_r=400)).covering
-        assert cov.n_pruned > 0
-        self.check_members(nodes, cov)
+            model = bp.fit_model(nodes, wendland_cfg(d_r=400))
+        assert model.covering.n_pruned > 0
+        self.check_members(nodes, model)
 
         rng = np.random.default_rng(6)
         clusters = 0.2 + 0.6 * rng.random((5, 2))
@@ -201,7 +217,35 @@ class TestBuildCovering:
             nodes = bp.PointSet(pts, np.sin(3 * pts[:, 0]))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", EmptySubdomainPruned)
-                self.check_members(nodes, bp.fit_model(nodes, wendland_cfg()).covering)
+                self.check_members(nodes, bp.fit_model(nodes, wendland_cfg()))
+
+    def test_fit_sorts_only_to_find_duplicate_sites(self, pentagon_run):
+        # the members keep the join's order, so a fit's one sort is the
+        # duplicate-site check's lexsort
+        nodes, _ = pentagon_run
+        with (
+            mock.patch.object(pum_module.np, "lexsort", wraps=np.lexsort) as lexsort,
+            mock.patch.object(pum_module.np, "argsort", wraps=np.argsort) as argsort,
+        ):
+            bp.fit_model(nodes, wendland_cfg())
+        assert lexsort.call_count == 1
+        assert not argsort.called
+
+    def test_membership_peak_is_a_few_integers_per_hit(self):
+        # each pass of the join leaves only its indices and counts, so the
+        # join's rows, distances and candidates never pile up
+        pts = bp.halton(100_000, 2, skip=7)
+        dom = bp.convex_hull(pts)
+        grid = bp.subdomain_grid(dom, len(pts))
+        bs = _block_index(pts, dom.box, grid.radius)
+        bs.neighbor_runs  # the run table is built outside the traced call
+        tracemalloc.start()
+        try:
+            members = _memberships(bs, grid.centers, grid.radius)[1]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * members.nbytes, peak / members.nbytes
 
     def test_insufficient_coverage_raises(self):
         # evaluation points in the hole, explicit covering: no retry
@@ -436,7 +480,7 @@ class TestBatchedSolve:
         nodes = clustered_nodes()
         pts = nodes.coords
         model = bp.fit_model(nodes, wendland_cfg())
-        lists = model.covering.node_lists
+        lists = member_lists(model.covering)
         sizes, counts = np.unique([len(m) for m in lists], return_counts=True)
         assert len(sizes) >= 20
         assert (counts * sizes**2 > BLEND_CHUNK).any()
@@ -522,7 +566,7 @@ class TestDeferredConditioning:
         model = bp.fit_model(nodes, wendland_cfg())
         ptr = model.members.ptr
         assert len(list(_size_stacks(ptr))) > len(np.unique(np.diff(ptr)))  # some size group is split
-        assert np.array_equal(model.members.cond, eager_cond(nodes, model.covering.node_lists, model.kernel))
+        assert np.array_equal(model.members.cond, eager_cond(nodes, member_lists(model.covering), model.kernel))
 
 
 class TestDeferredFillDistance:
@@ -748,7 +792,7 @@ class TestPipeline:
 
 def oracle_solve(model, j):
     """Subdomain j's coefficients, solved afresh from its node list (not read from the model)."""
-    members = model.covering.node_lists[j]
+    members = members_of(model.covering, j)
     return bp.local_solve(model.nodes.coords[members], model.nodes.values[members], model.kernel, j).coefficients
 
 
@@ -773,7 +817,7 @@ def _per_subdomain(model, pts):
             continue
         w = phi_wendland_c2(found.distances[inside], 1.0 / model.delta)
         coef = oracle_solve(model, j)
-        local = model.kernel(cdist(pts[members], model.nodes.coords[model.covering.node_lists[j]]))
+        local = model.kernel(cdist(pts[members], model.nodes.coords[members_of(model.covering, j)]))
         num[members] += w * (local @ coef)
         den[members] += w
         mag[members] += w * np.abs(local * coef).sum(axis=1)
@@ -792,7 +836,7 @@ def rounding_bound(model, pts):
     order. The local coefficients cancel heavily (m reaches ~1e3 on the 2D
     pentagon and ~5e9 on a 3D sphere reconstruction), so no flat tolerance fits."""
     _, den, mag = _per_subdomain(model, pts)
-    n_max = max(len(members) for members in model.covering.node_lists)
+    n_max = np.diff(model.covering.ptr).max()
     return 2 * n_max * np.finfo(float).eps * mag / den
 
 
@@ -807,7 +851,7 @@ def shepard_value(model, p):
     active = np.flatnonzero(dist < model.delta)
     w = bp.shepard_weights(p, model.covering, active=active)
     local = [
-        model.kernel(np.linalg.norm(model.nodes.coords[model.covering.node_lists[j]] - p, axis=1))
+        model.kernel(np.linalg.norm(model.nodes.coords[members_of(model.covering, j)] - p, axis=1))
         @ oracle_solve(model, j)
         for j in active
     ]
@@ -826,7 +870,7 @@ def reference_nearest(model, pts):
     for j in np.unique(nearest):
         rows = np.flatnonzero(nearest == j)
         coef = oracle_solve(model, j)
-        local = model.kernel(cdist(pts[rows], model.nodes.coords[model.covering.node_lists[j]]))
+        local = model.kernel(cdist(pts[rows], model.nodes.coords[members_of(model.covering, j)]))
         vals[rows] = local @ coef
         mag[rows] = np.abs(local * coef).sum(axis=1)
     return nearest, vals, mag
@@ -969,7 +1013,7 @@ class TestPredictOracles:
         chosen = np.empty(len(pts), dtype=subs.dtype)
         chosen[rows] = subs
         assert np.array_equal(chosen, want_sub)
-        n_max = max(len(members) for members in model.covering.node_lists)
+        n_max = np.diff(model.covering.ptr).max()
         assert np.all(np.abs(got - want) <= 2 * n_max * np.finfo(float).eps * mag)
         assert np.array_equal(model.predict(pts, on_uncovered="nearest"), got)
 
