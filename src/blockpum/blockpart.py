@@ -127,7 +127,11 @@ class BlockStructure:
         lead = strips[:, None, :-1] + offsets
         valid = ((lead >= 1) & (lead <= q)).all(axis=2)
         # block k of a line along the last axis is line + k_M
-        line = (_block_codes(np.clip(lead, 1, q).reshape(-1, dim - 1), q) - 1).reshape(valid.shape) * q
+        lead = np.clip(lead, 1, q) - 1
+        line = lead[..., 0]
+        for m in range(1, dim - 1):
+            line = line * q + lead[..., m]
+        line = line * q
         last = strips[:, -1:]
         first = self.starts[line + np.maximum(last - 1, 1) - 1]
         size = self.starts[line + np.minimum(last + 1, q)] - first
@@ -153,21 +157,25 @@ def block_index(strips, q: int) -> int:
     return k + strips[-1]
 
 
-def _strip_matrix(coords: np.ndarray, box: Box, width: float, q: int) -> np.ndarray:
-    """Vectorized per-axis strip indices, clamped into [1, q]."""
+def _block_codes(coords: np.ndarray, box: Box, width: float, q: int) -> np.ndarray:
+    """0-based block codes of the rows of ``coords``: ``block_index`` - 1 of their strips.
+
+    The one block-code rule of ``build`` and the join. Each coordinate is
+    scaled to strip units and clipped to [0, q-1] before truncating, which
+    is the strip of ``strip_index`` for any point in the box and the
+    nearest strip for one outside it (infinities included); the strips
+    are then combined by Horner's rule.
+    """
     scaled = coords - box.lo
     scaled /= width
-    strips = np.floor(scaled, out=scaled).astype(np.int64)
-    strips += 1
-    np.maximum(strips, 1, out=strips)
-    return np.minimum(strips, q, out=strips)
-
-
-def _block_codes(strips: np.ndarray, q: int) -> np.ndarray:
-    codes = strips[:, 0] - 1
+    # np.maximum and np.minimum rather than np.clip, whose Python wrapper
+    # costs several microseconds a call
+    np.maximum(scaled, 0, out=scaled)
+    strips = np.minimum(scaled, q - 1, out=scaled).astype(np.int64)
+    codes = strips[:, 0]
     for m in range(1, strips.shape[1]):
-        codes = codes * q + (strips[:, m] - 1)
-    return codes + 1
+        codes = codes * q + strips[:, m]
+    return codes
 
 
 def build(pts: PointSet, box: Box, q: int) -> BlockStructure:
@@ -189,14 +197,12 @@ def build(pts: PointSet, box: Box, q: int) -> BlockStructure:
     n = len(coords)
     keys = np.empty(n, dtype=np.int64)
     for lo in range(0, n, BUILD_CHUNK):
-        strips = _strip_matrix(coords[lo : lo + BUILD_CHUNK], box, width, q)
-        keys[lo : lo + BUILD_CHUNK] = _block_codes(strips, q)
-    counts = np.bincount(keys, minlength=q**pts.dim + 1)[1:]
+        keys[lo : lo + BUILD_CHUNK] = _block_codes(coords[lo : lo + BUILD_CHUNK], box, width, q)
+    counts = np.bincount(keys, minlength=q**pts.dim)
     # (block, point index) keys are unique: one value sort orders the points
     # by block and by index within a block, as a stable argsort would, at a
     # fraction of its cost. Keys stay below q^M * n, far inside int64 for
     # any grid whose bucket counts fit in memory.
-    keys -= 1
     keys *= n
     keys += np.arange(n)
     keys.sort()
@@ -265,7 +271,9 @@ def join_pairs(bs: BlockStructure, queries, radius: float) -> JoinPairs:
     order: run by run of the block's ``neighbor_runs`` row, and in
     ``sorted_idx`` order within a run. That order depends on the block
     structure alone, not on JOIN_CHUNK or on the other queries of the
-    batch. Queries outside the box are clamped for the block lookup only.
+    batch. The runs go by ascending block, so where ``sorted_idx`` is the
+    identity every row lists its hits in ascending index. Queries outside
+    the box are clamped for the block lookup only.
     Raises ValueError for queries of the wrong shape, a NaN coordinate, or
     a radius wider than a block (beyond rounding) on a grid of q > 1
     blocks per side, where hits outside the 3^M neighbourhood would be
@@ -308,9 +316,7 @@ def _join_chunk(bs: BlockStructure, queries: np.ndarray, radius: float, offset: 
     evaluation: each wrapper adds about a microsecond of dispatch.
     """
     firsts, sizes = bs.neighbor_runs
-    clamped = np.maximum(queries, bs.box.lo)
-    np.minimum(clamped, bs.box.hi, out=clamped)
-    blocks = _block_codes(_strip_matrix(clamped, bs.box, bs.width, bs.q), bs.q) - 1
+    blocks = _block_codes(queries, bs.box, bs.width, bs.q)
     sizes = sizes.take(blocks, axis=0)
     firsts = firsts.take(blocks, axis=0).ravel()
     per_query = sizes.sum(axis=1)
@@ -325,9 +331,9 @@ def _join_chunk(bs: BlockStructure, queries: np.ndarray, radius: float, offset: 
     dist = row_norms(delta)
     rows = np.arange(len(queries)).repeat(per_query)
     keep = (dist <= radius).nonzero()[0]
-    rows = rows[keep]
+    rows = rows.take(keep)
     rows += offset
-    return JoinPairs(rows, cand[keep], dist[keep], len(pos))
+    return JoinPairs(rows, cand.take(keep), dist.take(keep), len(pos))
 
 
 def row_norms(delta: np.ndarray) -> np.ndarray:

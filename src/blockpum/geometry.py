@@ -161,7 +161,10 @@ def membership_mask(dom: ConvexDomain, coords: np.ndarray) -> np.ndarray:
     step = max(1, MASK_CHUNK // len(dom.normals))
     mask = np.empty(len(coords), dtype=bool)
     for lo in range(0, len(coords), step):
-        mask[lo : lo + step] = np.all(coords[lo : lo + step] @ dom.normals.T + dom.offsets <= dom.tol, axis=1)
+        # the largest half-space value decides; a NaN in a row propagates to it and fails the test
+        values = coords[lo : lo + step] @ dom.normals.T
+        values += dom.offsets
+        np.less_equal(values.max(axis=1), dom.tol, out=mask[lo : lo + step])
     return mask
 
 

@@ -39,17 +39,24 @@ A run report computes its fill distance, like the conditioning, only
 when it is first read: evaluation keeps the data sites and the probes,
 not the k-d tree query.
 
-Evaluation takes its (point, subdomain) pairs from the unordered join
-(``join_pairs``) and puts them in one order of its own, (subdomain,
-distance, point row): each pair occurs once, so this order, and with it
-every bit of the values, is the same however the join gathered them.
+The surviving subdomains are numbered once, at fit, in the block order
+of the center index (by block, then in grid order), their member lists
+moving with them. The join (``join_pairs``) reads a point's candidates
+block by block in ascending order, so it hands every point its
+subdomains in ascending order, and evaluation sorts nothing for the
+blend: both Shepard sums are taken in the join's order, so each point
+adds its subdomains in ascending order however the batch is made up.
 
 The Shepard blend and the nearest-subdomain fallback get their local
 values from the same routine, which splits the touched subdomains by the
 (point, member) entries they hold in that call: subdomains at or below
 ``BLEND_STEP_ENTRIES`` are evaluated together in vectorized passes over
-their entries, larger ones keep one distance/kernel/matrix-vector step
-each, where BLAS beats the per-entry gathers.
+their entries, pair by pair in any order, larger ones keep one
+distance/kernel/matrix-vector step each, where BLAS beats the per-entry
+gathers. A step rounds by row position, so only its pairs are sorted,
+by (subdomain, distance, point row): each pair occurs once, so this
+order, and with it every bit of the values, does not depend on how the
+join gathered them.
 
 Rows of (n, M) coordinate arrays are gathered with ``take(..., axis=0)``
 on every hot path: it copies the same values as fancy indexing at a
@@ -60,6 +67,7 @@ dispatch took ~9 % of a 64-point ``predict`` (2-vCPU x86, numpy 2.4).
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import time
 from dataclasses import dataclass, field
@@ -166,12 +174,15 @@ class PumConfig:
 class Covering:
     """Subdomain centers with common radius, member table and center index.
 
-    Only subdomains holding at least one data site survive. Subdomain j's
-    data sites are ``members[ptr[j]:ptr[j+1]]``, in the block join's order
-    (see ``blockpart.join_pairs``), not by distance from its center.
+    Only subdomains holding at least one data site survive, numbered in
+    the block order of ``center_index``: by block, and within a block in
+    the order of the subdomain grid. Subdomain j's data sites are
+    ``members[ptr[j]:ptr[j+1]]``, in the block join's order (see
+    ``blockpart.join_pairs``), not by distance from its center.
     ``center_index`` is a block structure over the surviving centers whose
     blocks are at least one radius wide, so the 3^M block neighborhood of
-    any point holds every subdomain containing it.
+    any point holds every subdomain containing it; its ``sorted_idx`` is
+    the identity.
     """
 
     centers: np.ndarray
@@ -190,12 +201,18 @@ class Covering:
         """k-d tree over the centers, for the nearest-subdomain fallback; built on first use."""
         return cKDTree(self.centers)
 
+    @functools.cached_property
+    def _join_radius(self) -> float:
+        return _below(self.radius)
+
     def active(self, points):
         """(point row, subdomain, distance) for each point strictly inside a subdomain.
 
-        The pairs come in no set order; ``PumModel._blend`` orders them.
+        The pairs are grouped by ascending row, and each row lists its
+        subdomains in strictly ascending order: the join visits blocks in
+        ascending order, and the subdomains are numbered in block order.
         """
-        return join_pairs(self.center_index, points, _below(self.radius))[:3]
+        return join_pairs(self.center_index, points, self._join_radius)[:3]
 
 
 @dataclass
@@ -410,9 +427,11 @@ def _block_index(pts: PointSet, box: Box, radius: float) -> BlockStructure:
 def _cover(nodes: PointSet, dom: ConvexDomain, grid: SubdomainGrid, eval_coords=None):
     """The covering of ``grid`` over the data sites, and its costs.
 
-    Subdomains holding no data site are pruned with a warning. Raises
-    InsufficientCoverage when no subdomain holds a site, or when some row
-    of ``eval_coords`` (if given) lies in no surviving subdomain.
+    Subdomains holding no data site are pruned with a warning, and the
+    survivors are renumbered in the block order of the center index, with
+    their member lists. Raises InsufficientCoverage when no subdomain holds
+    a site, or when some row of ``eval_coords`` (if given) lies in no
+    surviving subdomain.
 
     Returns ``(covering, q, t_index_s, t_search_s)``: ``q`` is the site
     index's blocks per side, ``t_index_s`` the seconds spent building that
@@ -435,14 +454,21 @@ def _cover(nodes: PointSet, dom: ConvexDomain, grid: SubdomainGrid, eval_coords=
         warn_at_caller(
             f"pruned {n_pruned} of {len(grid.centers)} subdomains containing no data sites", EmptySubdomainPruned
         )
-    centers = grid.centers[occupied]
+    index = _block_index(PointSet(grid.centers[occupied]), dom.box, grid.radius)
+    # subdomain j is grid center keep[j]; its members move with it, in their order
+    keep = occupied[index.sorted_idx]
+    sizes = ptr[keep + 1] - ptr[keep]
+    new_ptr = np.zeros(len(keep) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=new_ptr[1:])
+    pos = (ptr[keep] - new_ptr[:-1]).repeat(sizes)
+    pos += np.arange(len(pos))
+    centers = grid.centers[keep]
     covering = Covering(
         centers=centers,
         radius=grid.radius,
-        # empty balls hold no members, so only their ends leave ptr
-        ptr=np.concatenate(([0], ptr[occupied + 1])),
-        members=members,
-        center_index=_block_index(PointSet(centers), dom.box, grid.radius),
+        ptr=new_ptr,
+        members=members.take(pos),
+        center_index=dataclasses.replace(index, points=centers, sorted_idx=np.arange(len(keep))),
         n_pruned=n_pruned,
     )
 
@@ -613,66 +639,67 @@ class PumModel:
         if not np.isfinite(points).all():
             raise ValueError("points must be finite")
         num, den = self._blend(points)
-        out = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+        # an empty join leaves np.bincount's int64 zeros; both divisions give float64
+        if den.all():
+            return num / den
+        out = np.divide(num, den, out=np.zeros(len(points)), where=den > 0)
         uncovered = np.flatnonzero(den == 0)
-        if len(uncovered):
-            if on_uncovered == "raise":
-                raise NoActiveSubdomain(
-                    f"{len(uncovered)} points lie in no subdomain, first at {points[uncovered[0]]}"
-                )
-            out[uncovered] = self._predict_nearest(points[uncovered])
+        if on_uncovered == "raise":
+            raise NoActiveSubdomain(f"{len(uncovered)} points lie in no subdomain, first at {points[uncovered[0]]}")
+        out[uncovered] = self._predict_nearest(points[uncovered])
         return out
 
     def _blend(self, points):
         """Shepard numerator and denominator at ``points``.
 
-        ``Covering.active`` returns the active (point, subdomain) pairs in
-        no set order; one lexsort puts them by subdomain, then distance,
-        then row, a total order since no pair repeats, so the values do not
-        depend on how the join gathered the pairs. Both sums accumulate
-        pair by pair in that order, so every point adds its subdomains in
-        ascending order. Subdomains taking one matrix-vector product in
-        ``_local_values`` round by row position, so this fixed order keeps
-        their values reproducible to the last bit.
+        ``Covering.active`` lists each point's subdomains in ascending
+        order, and both sums are taken in that order by ``np.bincount``,
+        with no sort: every point adds its subdomains in ascending order,
+        however the batch is made up.
         """
         rows, subs, dists = self.covering.active(points)
-        order = np.lexsort((rows, dists, subs))
-        rows, subs, dists = rows[order], subs[order], dists[order]
         w = phi_wendland_c2(dists, 1.0 / self.delta)
-        local = self._local_values(points, rows, subs)
+        local = self._local_values(points, rows, subs, dists)
         local *= w
-        num = np.zeros(len(points))
-        den = np.zeros(len(points))
-        np.add.at(num, rows, local)
-        np.add.at(den, rows, w)
-        return num, den
+        return np.bincount(rows, local, len(points)), np.bincount(rows, w, len(points))
 
-    def _local_values(self, points, rows, subs):
-        """Local fit of subdomain ``subs[i]`` at ``points[rows[i]]``; ``subs`` must be ascending.
+    def _local_values(self, points, rows, subs, dists=None):
+        """Local fit of subdomain ``subs[i]`` at ``points[rows[i]]``, for pairs in any order.
 
         Subdomains with at most BLEND_STEP_ENTRIES (point, member) entries
-        in this call go through the vectorized pass; larger ones get one
-        matrix-vector product each, over their rows in the given order.
+        in this call go through the vectorized pass, pair by pair. Larger
+        ones get one matrix-vector product each, which rounds by row
+        position, so only their pairs are sorted: by (subdomain, distance,
+        row) with one lexsort when ``dists`` is given, else by subdomain
+        with one stable argsort, keeping the given order within each.
+        The products write consecutive slices of one buffer, which is
+        scattered back once.
         """
         table = self.members
-        # pairs firsts[i] : firsts[i] + counts[i] belong to subdomain present[i]
-        edges = np.empty(len(subs) + 1, dtype=bool)
-        edges[0] = edges[-1] = True
-        np.not_equal(subs[1:], subs[:-1], out=edges[1:-1])
-        cuts = edges.nonzero()[0]
-        firsts, counts = cuts[:-1], cuts[1:] - cuts[:-1]
-        present = subs[firsts]
-        step = counts * table.sizes[present] > BLEND_STEP_ENTRIES
-        if not step.any():
+        counts = np.bincount(subs, minlength=len(table.sizes))
+        heavy = counts * table.sizes > BLEND_STEP_ENTRIES
+        if not heavy.any():
             return self._vectorized_values(points, rows, subs)
+        step = heavy.take(subs)
         local = np.empty(len(rows))
-        small = ~step.repeat(counts)
+        small = ~step
         if small.any():
             local[small] = self._vectorized_values(points, rows[small], subs[small])
-        for j, lo, n in zip(present[step], firsts[step], counts[step]):
+        at = step.nonzero()[0]
+        if dists is None:
+            at = at[np.argsort(subs.take(at), kind="stable")]
+        else:
+            at = at[np.lexsort((rows.take(at), dists.take(at), subs.take(at)))]
+        at_rows = rows.take(at)
+        present = heavy.nonzero()[0]
+        buf = np.empty(len(at))
+        lo = 0
+        for j, hi in zip(present, counts[present].cumsum()):
             a, b = table.ptr[j], table.ptr[j + 1]
-            at = points.take(rows[lo : lo + n], axis=0)
-            local[lo : lo + n] = self.kernel(cdist(at, table.coords[a:b])) @ table.coefficients[a:b]
+            pts = points.take(at_rows[lo:hi], axis=0)
+            buf[lo:hi] = self.kernel(cdist(pts, table.coords[a:b])) @ table.coefficients[a:b]
+            lo = hi
+        local[at] = buf
         return local
 
     def _vectorized_values(self, points, rows, subs):
@@ -682,7 +709,7 @@ class PumModel:
         step's ``cdist``.
         """
         table = self.members
-        sizes = table.sizes[subs]
+        sizes = table.sizes.take(subs)
         cuts = [0, len(rows)]
         total = sizes.sum()
         if total > BLEND_CHUNK:
@@ -695,7 +722,7 @@ class PumModel:
             starts = n.cumsum()
             starts -= n
             # entry t of pair i is member row ptr[subs[i]] + (t - starts[i])
-            pos = (table.ptr[subs[lo:hi]] - starts).repeat(n)
+            pos = (table.ptr.take(subs[lo:hi]) - starts).repeat(n)
             pos += np.arange(len(pos))
             delta = table.coords.take(pos, axis=0)
             delta -= points.take(rows[lo:hi], axis=0).repeat(n, axis=0)
@@ -718,10 +745,7 @@ class PumModel:
         nearest = nearest[:, 0]
         if len(ties):
             nearest[ties] = cdist(pts[ties], self.covering.centers).argmin(axis=1)
-        order = np.argsort(nearest, kind="stable")
-        vals = np.empty(len(pts))
-        vals[order] = self._local_values(pts, order, nearest[order])
-        return vals
+        return self._local_values(pts, np.arange(len(pts)), nearest)
 
 
 @dataclass

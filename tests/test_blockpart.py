@@ -8,17 +8,18 @@ from scipy.spatial.distance import cdist
 
 import blockpum as bp
 from blockpum import blockpart
-from blockpum.blockpart import _block_codes, _strip_matrix
+from blockpum.blockpart import _block_codes
 from blockpum.errors import PointOutsideBox
 
 
 def reference_build_buckets(coords, box, q):
-    """Sort-based reference: order points lexicographically by strip indices,
-    then segment runs; mirrors a recursive per-coordinate sort."""
+    """Sort-based reference: order points lexicographically by the strip
+    indices of the paper's per-point routines, then segment runs; mirrors a
+    recursive per-coordinate sort."""
     width = box.edge / q
-    strips = _strip_matrix(coords, box, width, q)
+    strips = np.array([[bp.strip_index(c, box.lo, width, q) for c in p] for p in coords], dtype=np.int64)
     order = np.lexsort(tuple(strips[:, m] for m in range(strips.shape[1] - 1, -1, -1)))
-    codes = _block_codes(strips, q)
+    codes = [bp.block_index(s, q) for s in strips]
     buckets = {}
     for i in order:
         buckets.setdefault(int(codes[i]), []).append(int(i))
@@ -134,6 +135,43 @@ class TestBuild:
         ref = reference_build_buckets(pts.coords, box, 4)
         for k in range(1, 4**3 + 1):
             assert list(bs.bucket(k)) == ref.get(k, [])
+
+
+class TestBlockCodes:
+    """The block-code rule of ``build`` and the join against the paper's ``containing_query``."""
+
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 9), st.sampled_from([2, 3]))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_containing_query(self, seed, q, dim):
+        rng = np.random.default_rng(seed)
+        box = bp.Box(rng.uniform(-2.0, 2.0), rng.uniform(2.5, 4.0), dim)
+        width = box.edge / q
+        bs = bp.build(bp.PointSet(rng.uniform(box.lo, box.hi, (5, dim))), box, q)
+        on_lines = box.lo + width * rng.integers(0, q + 1, (40, dim))
+        on_lines[:5] = box.hi
+        inside = np.vstack([rng.uniform(box.lo, box.hi, (40, dim)), on_lines])
+        outside = rng.uniform(box.lo - 3.0, box.hi + 3.0, (60, dim))
+        codes = _block_codes(np.vstack([inside, outside]), box, width, q)
+        want = [bp.containing_query(bs, p) - 1 for p in inside]
+        # outside the box, the code is that of the nearest point of the box
+        want += [bp.containing_query(bs, np.clip(p, box.lo, box.hi)) - 1 for p in outside]
+        assert np.array_equal(codes, want)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_infinite_queries_join_the_nearest_blocks(self, dim):
+        rng = np.random.default_rng(dim)
+        pts = rng.random((200, dim))
+        bs = bp.build(bp.PointSet(pts), bp.Box(0.0, 1.0, dim), q=5)
+        queries = np.where(rng.random((12, dim)) < 0.5, -np.inf, np.inf)
+        queries[:4, 1:] = rng.random((4, dim - 1))
+        codes = _block_codes(queries, bs.box, bs.width, bs.q)
+        want = [bp.containing_query(bs, np.clip(p, 0.0, 1.0)) - 1 for p in queries]
+        assert np.array_equal(codes, want)
+        found = bp.join_pairs(bs, queries, bs.width)
+        assert len(found.rows) == 0
+        assert found.candidates == sum(
+            len(bs.bucket(j)) for k in codes for j in bp.neighborhood_of(bs, k + 1).block_ids
+        )
 
 
 class TestContainingQuery:

@@ -102,21 +102,29 @@ class TestReduce:
         assert np.array_equal(once.coords, twice.coords)
 
 
+def facet_probes(rng, dim):
+    """A random hull and probes around its facets: uniform points, the hull
+    vertices, points projected onto random facet planes, and those moved
+    along the normal by 0, +-tol/2, +-tol and +-2 tol.
+
+    Returns the domain, the probes and the normal shifts of the moved ones.
+    """
+    dom = bp.convex_hull(bp.PointSet(rng.random((rng.integers(dim + 3, 60), dim))))
+    facets = rng.integers(0, len(dom.normals), 40)
+    normals = dom.normals[facets]
+    raw = rng.uniform(-0.2, 1.2, (40, dim))
+    on_facet = raw - (np.einsum("ij,ij->i", normals, raw) + dom.offsets[facets])[:, None] * normals
+    shifts = rng.choice([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0], 40) * dom.tol
+    moved = on_facet + shifts[:, None] * normals
+    return dom, np.vstack([rng.uniform(-0.2, 1.2, (40, dim)), dom.vertices, on_facet, moved]), shifts
+
+
 class TestMembershipMask:
     @given(st.integers(0, 2**31 - 1), st.sampled_from([2, 3]), st.sampled_from([1, 5, 64, 2**16]))
     @settings(max_examples=40, deadline=None)
     def test_passes_match_one_shot(self, seed, dim, chunk):
         rng = np.random.default_rng(seed)
-        dom = bp.convex_hull(bp.PointSet(rng.random((rng.integers(dim + 3, 60), dim))))
-        # probes projected onto random facet planes, then moved along the
-        # normal by 0, +-tol/2, +-tol and +-2 tol
-        facets = rng.integers(0, len(dom.normals), 40)
-        normals = dom.normals[facets]
-        raw = rng.uniform(-0.2, 1.2, (40, dim))
-        on_facet = raw - (np.einsum("ij,ij->i", normals, raw) + dom.offsets[facets])[:, None] * normals
-        shifts = rng.choice([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0], 40) * dom.tol
-        moved = on_facet + shifts[:, None] * normals
-        coords = np.vstack([rng.uniform(-0.2, 1.2, (40, dim)), dom.vertices, on_facet, moved])
+        dom, coords, shifts = facet_probes(rng, dim)
         values = coords @ dom.normals.T + dom.offsets
         want = np.all(values <= dom.tol, axis=1)
         # BLAS blocks the product by the rows of each pass, so a half-space
@@ -132,6 +140,29 @@ class TestMembershipMask:
         assert undecided.sum() <= np.count_nonzero(shifts == dom.tol)
         # hull vertices lie on facets, and the boundary counts as inside
         assert got[40 : 40 + len(dom.vertices)].all()
+
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([2, 3]), st.sampled_from([1, 5, 64, 2**16]))
+    @settings(max_examples=40, deadline=None)
+    def test_decisions_equal_every_facet_test_of_each_pass(self, seed, dim, chunk):
+        # the largest half-space value decides as the all() over every
+        # facet did, on the same products, NaN and infinite rows included
+        rng = np.random.default_rng(seed)
+        dom, coords, _ = facet_probes(rng, dim)
+        bad = rng.choice([np.nan, np.inf, -np.inf], (6, dim))
+        bad[::2, 1:] = rng.random((3, dim - 1))
+        coords = rng.permutation(np.vstack([coords, bad]))
+        step = max(1, chunk // len(dom.normals))
+        # an infinite coordinate times a zero normal component is NaN
+        with np.errstate(invalid="ignore"), mock.patch.object(geometry, "MASK_CHUNK", chunk):
+            want = np.concatenate(
+                [
+                    np.all(coords[lo : lo + step] @ dom.normals.T + dom.offsets <= dom.tol, axis=1)
+                    for lo in range(0, len(coords), step)
+                ]
+            )
+            got = geometry.membership_mask(dom, coords)
+        assert np.array_equal(got, want)
+        assert not got[np.isnan(coords).any(axis=1)].any()
 
     def test_empty_batch(self, pentagon_domain):
         assert geometry.membership_mask(pentagon_domain, np.empty((0, 2))).shape == (0,)

@@ -1020,11 +1020,11 @@ class TestPredictOracles:
     @given(st.integers(0, 2**31 - 1), st.sampled_from([2, 3]), st.booleans(), st.sampled_from([3, 2048]))
     @settings(max_examples=12, deadline=None)
     def test_permuted_batch_gives_permuted_values(self, seed, dim, clustered, chunk):
-        # The join returns its pairs in an order that follows the batch; the
-        # blend's sort fixes its own. Only a large subdomain's matrix-vector
-        # product rounds by row position, and its rows go by distance from
-        # the center, which a permutation keeps unless two distinct points
-        # lie at exactly the same distance; random points do not.
+        # Each point adds its subdomains in ascending order, whatever the
+        # batch. Only a large subdomain's matrix-vector product rounds by
+        # row position, and its rows go by distance from the center, which
+        # a permutation keeps unless two distinct points lie at exactly the
+        # same distance; random points do not.
         model, batch = blend_model(seed, dim, clustered)
         batch = np.unique(batch, axis=0)
         perm = np.random.default_rng([seed, 2]).permutation(len(batch))
@@ -1033,19 +1033,65 @@ class TestPredictOracles:
             got = model.predict(batch[perm])
         assert np.array_equal(got, want[perm])
 
-    def test_predict_sorts_once_without_argsort_or_einsum(self, pentagon_run):
-        # the structure of the evaluation: the join leaves its pairs unsorted,
-        # the blend sorts them once, and no row norm goes through einsum
+    def test_predict_sorts_only_step_pairs(self, pentagon_run):
+        # the structure of the evaluation: the join hands each point its
+        # subdomains ascending, the sums take them in that order, only the
+        # pairs of step subdomains are sorted, and no row norm goes through
+        # einsum
         _, result = pentagon_run
-        pts = result.eval_points[:64]
-        with (
-            mock.patch.object(pum_module.np, "lexsort", wraps=np.lexsort) as lexsort,
-            mock.patch.object(pum_module.np, "argsort", wraps=np.argsort) as argsort,
-            mock.patch.object(pum_module.np, "einsum", wraps=np.einsum) as einsum,
-        ):
-            result.model.predict(pts)
-        assert lexsort.call_count == 1
-        assert not argsort.called and not einsum.called
+        model = result.model
+        small, large = result.eval_points[:8], result.eval_points[:64]
+        assert not step_split(model, small).any() and step_split(model, large).any()
+        for pts in (small, large):
+            split = step_split(model, pts)
+            _, subs, _ = model.covering.active(pts)
+            step_pairs = np.isin(subs, np.unique(subs)[split]).sum()
+            with (
+                mock.patch.object(pum_module.np, "lexsort", wraps=np.lexsort) as lexsort,
+                mock.patch.object(pum_module.np, "argsort", wraps=np.argsort) as argsort,
+                mock.patch.object(pum_module.np, "einsum", wraps=np.einsum) as einsum,
+                mock.patch.object(pum_module.np, "add", mock.Mock(wraps=np.add)) as add,
+            ):
+                model.predict(pts)
+            assert not argsort.called and not einsum.called and not add.at.called
+            if split.any():
+                (keys,), _ = lexsort.call_args
+                assert lexsort.call_count == 1 and [len(k) for k in keys] == [step_pairs] * 3
+            else:
+                assert not lexsort.called
+
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([2, 3]), st.booleans(), st.sampled_from([1, 3, 2048]))
+    @settings(max_examples=12, deadline=None)
+    def test_subdomains_numbered_in_block_order(self, seed, dim, clustered, chunk):
+        # every point's subdomains come ascending from the join, and the
+        # covering is the grid-ordered one up to renumbering: each center
+        # keeps its member list, in its order
+        with mock.patch.object(blockpart, "JOIN_CHUNK", chunk):
+            model, batch = blend_model(seed, dim, clustered)
+            box = model.domain.box
+            around = np.random.default_rng([seed, 3]).uniform(box.lo - 0.2, box.hi + 0.2, (200, dim))
+            probes = np.vstack([batch, around])
+            rows, subs, _ = model.covering.active(probes)
+            cov = model.covering
+            grid = bp.subdomain_grid(model.domain, len(model.nodes), model.config.d_r)
+            bs = _block_index(model.nodes, box, grid.radius)
+            ptr, members = _memberships(bs, grid.centers, grid.radius)
+        assert (np.diff(rows) >= 0).all()
+        assert (np.diff(subs)[rows[1:] == rows[:-1]] > 0).all()
+
+        index = cov.center_index
+        assert np.array_equal(index.sorted_idx, np.arange(cov.d)) and index.points is cov.centers
+        codes = blockpart._block_codes(cov.centers, index.box, index.width, index.q)
+        assert np.array_equal(np.repeat(np.arange(index.n_blocks), index.bucket_sizes()), codes)
+
+        where = {tuple(c): i for i, c in enumerate(grid.centers)}
+        keep = np.array([where[tuple(c)] for c in cov.centers])
+        assert cov.radius == grid.radius
+        assert np.array_equal(np.sort(keep), np.flatnonzero(np.diff(ptr)))
+        # within a block, the grid order
+        assert (np.diff(keep)[np.diff(codes) == 0] > 0).all()
+        for j, i in enumerate(keep):
+            assert np.array_equal(members_of(cov, j), members[ptr[i] : ptr[i + 1]])
 
     def test_out_of_box_matches_shepard_oracle(self):
         pts = bp.halton(900, 2)
@@ -1084,7 +1130,21 @@ class TestPredictInput:
 
     def test_empty_batch(self, pentagon_run):
         _, result = pentagon_run
-        assert result.model.predict(np.empty((0, 2))).shape == (0,)
+        got = result.model.predict(np.empty((0, 2)))
+        assert got.shape == (0,) and got.dtype == np.float64
+
+    def test_batch_with_no_covered_point(self, pentagon_run):
+        # the sums of an empty join are np.bincount's int64 zeros; the
+        # fallback values must not be cast to them
+        _, result = pentagon_run
+        model = result.model
+        pts = np.array([[5.0, 5.0], [-3.0, 0.5], [0.5, 40.0]])
+        assert len(model.covering.active(pts)[0]) == 0
+        got = model.predict(pts, on_uncovered="nearest")
+        assert got.dtype == np.float64
+        assert np.array_equal(got, model._predict_nearest(pts))
+        with pytest.raises(NoActiveSubdomain, match="3 points lie in no subdomain"):
+            model.predict(pts)
 
 
 @pytest.mark.parametrize("threads", [0, -2])
