@@ -663,17 +663,16 @@ class PumModel:
         local *= w
         return np.bincount(rows, local, len(points)), np.bincount(rows, w, len(points))
 
-    def _local_values(self, points, rows, subs, dists=None):
+    def _local_values(self, points, rows, subs, dists):
         """Local fit of subdomain ``subs[i]`` at ``points[rows[i]]``, for pairs in any order.
 
         Subdomains with at most BLEND_STEP_ENTRIES (point, member) entries
         in this call go through the vectorized pass, pair by pair. Larger
         ones get one matrix-vector product each, which rounds by row
-        position, so only their pairs are sorted: by (subdomain, distance,
-        row) with one lexsort when ``dists`` is given, else by subdomain
-        with one stable argsort, keeping the given order within each.
-        The products write consecutive slices of one buffer, which is
-        scattered back once.
+        position, so only their pairs are sorted, by (subdomain, distance,
+        row) with one lexsort: the order, and with it every bit, does not
+        depend on how the batch is made up. The products write consecutive
+        slices of one buffer, which is scattered back once.
         """
         table = self.members
         counts = np.bincount(subs, minlength=len(table.sizes))
@@ -686,10 +685,7 @@ class PumModel:
         if small.any():
             local[small] = self._vectorized_values(points, rows[small], subs[small])
         at = step.nonzero()[0]
-        if dists is None:
-            at = at[np.argsort(subs.take(at), kind="stable")]
-        else:
-            at = at[np.lexsort((rows.take(at), dists.take(at), subs.take(at)))]
+        at = at[np.lexsort((rows.take(at), dists.take(at), subs.take(at)))]
         at_rows = rows.take(at)
         present = heavy.nonzero()[0]
         buf = np.empty(len(at))
@@ -737,7 +733,8 @@ class PumModel:
         The two nearest centers come from the covering's k-d tree. Where
         their distances agree to NEAREST_TIE_REL, the row takes the first
         center of least ``cdist`` distance, so near-ties go as they would in
-        an argmin over all centers.
+        an argmin over all centers. The tree's nearest distance orders the
+        rows of a matrix-vector step, as in the blend.
         """
         dist, nearest = self.covering.center_tree.query(pts, k=2)
         # a lone center leaves the second distance inf: never a tie
@@ -745,7 +742,7 @@ class PumModel:
         nearest = nearest[:, 0]
         if len(ties):
             nearest[ties] = cdist(pts[ties], self.covering.centers).argmin(axis=1)
-        return self._local_values(pts, np.arange(len(pts)), nearest)
+        return self._local_values(pts, np.arange(len(pts)), nearest, dist[:, 0])
 
 
 @dataclass

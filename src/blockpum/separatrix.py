@@ -5,6 +5,13 @@ stable for the default parameters, so the cube of initial conditions
 splits into two basins of attraction. Points on the dividing surface are
 located by classifying trajectories of neighboring initial conditions and
 bisecting every segment whose endpoints reach different equilibria.
+
+Every search goes through one lockstep loop: ``_bisect`` halves all its
+segments at once, classifying their midpoints in one batch, and
+``bisect_separatrix`` is its one-segment case. ``sample_separatrix``
+feeds it the axis-adjacent lattice pairs with different resolved labels,
+ordered by the flat index of the lower cell, then by axis (x, y, z), and
+keeps the first ``n_pairs`` of them.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ Y_ONLY = "y-only"
 Z_ONLY = "z-only"
 UNRESOLVED = "unresolved"
 
-DEFAULT_STEP = 1e-2
+DEFAULT_STEP = 1e-2  # fixed RK4 step of every integration
 DEFAULT_T_MAX = 500.0
 DEFAULT_TOL = 1e-3
 
@@ -42,11 +49,15 @@ class CompetitionParams:
     cube_edge: float = 2.0
 
     def __post_init__(self):
-        allv = (*self.growth, *self.capacity, *self.competition)
-        if any(v < 0 for v in allv):
+        if (len(self.growth), len(self.capacity), len(self.competition)) != (3, 3, 6):
+            raise ValueError("growth and capacity take 3 rates, competition 6")
+        allv = np.array((*self.growth, *self.capacity, *self.competition, self.cube_edge), dtype=float)
+        if not np.isfinite(allv).all():
+            raise ValueError("rates and cube_edge must be finite")
+        if (allv < 0).any():
             raise ValueError("all rates must be nonnegative")
-        if self.cube_edge <= 0:
-            raise ValueError("cube_edge must be positive")
+        if min(self.capacity) <= 0 or self.cube_edge <= 0:
+            raise ValueError("capacities and cube_edge must be positive")
 
     @property
     def y_equilibrium(self) -> np.ndarray:
@@ -74,37 +85,80 @@ def _rhs_batch(states: np.ndarray, params: CompetitionParams) -> np.ndarray:
     return out
 
 
-def _classify_batch(states, params, tol, t_max, step):
+def _classify_batch(states, params, tol, t_max):
     """Integrate many initial conditions at once (fixed-step RK4).
 
-    Returns one label per row; a trajectory is labeled as soon as it comes
-    within ``tol`` of either stable equilibrium.
+    Returns one label per row; a trajectory is labeled, and leaves the
+    batch, at the first check that finds it within ``tol`` of either stable
+    equilibrium. Every public entry point starts here, so bad input is
+    rejected before any integration.
     """
-    y = np.atleast_2d(np.asarray(states, dtype=float)).copy()
-    labels = np.array([UNRESOLVED] * len(y), dtype=object)
-    active = np.ones(len(y), dtype=bool)
-    targets = (params.y_equilibrium, params.z_equilibrium)
-    names = (Y_ONLY, Z_ONLY)
-    n_steps = int(round(t_max / step))
+    for name, v in (("tol", tol), ("t_max", t_max)):
+        if not (np.isfinite(v) and v > 0):
+            raise ValueError(f"{name} must be positive and finite, got {v}")
+    y = np.array(states, dtype=float, ndmin=2)
+    if y.ndim != 2 or y.shape[1] != 3:
+        raise ValueError(f"initial conditions must be (x, y, z) rows, got shape {y.shape}")
+    if not np.isfinite(y).all():
+        raise ValueError("initial conditions must be finite")
+    labels = np.full(len(y), UNRESOLVED, dtype=object)
+    rows = np.arange(len(y))
+    targets = ((params.y_equilibrium, Y_ONLY), (params.z_equilibrium, Z_ONLY))
+    h = DEFAULT_STEP
+    n_steps = int(round(t_max / h))
     for i in range(n_steps):
-        if not active.any():
+        if not len(rows):
             break
-        ya = y[active]
-        k1 = _rhs_batch(ya, params)
-        k2 = _rhs_batch(ya + 0.5 * step * k1, params)
-        k3 = _rhs_batch(ya + 0.5 * step * k2, params)
-        k4 = _rhs_batch(ya + step * k3, params)
-        y[active] = ya + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        k1 = _rhs_batch(y, params)
+        k2 = _rhs_batch(y + 0.5 * h * k1, params)
+        k3 = _rhs_batch(y + 0.5 * h * k2, params)
+        k4 = _rhs_batch(y + h * k3, params)
+        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         if i % _CHECK_EVERY == 0 or i == n_steps - 1:
-            rows = np.flatnonzero(active)
-            cur = y[rows]
-            for target, name in zip(targets, names):
-                hit = np.linalg.norm(cur - target, axis=1) <= tol
+            for target, name in targets:
+                hit = np.linalg.norm(y - target, axis=1) <= tol
                 labels[rows[hit]] = name
-                active[rows[hit]] = False
-                rows = rows[~hit]
-                cur = cur[~hit]
+                rows, y = rows[~hit], y[~hit]
     return labels
+
+
+def _bisect(a, b, label_a, params, tol, t_max):
+    """Midpoints of the segments [a[i], b[i]], bisected in lockstep to length ``tol``.
+
+    ``a[i]`` has the resolved label ``label_a[i]``, and ``b[i]`` the other
+    one; both arrays are overwritten. An unresolved midpoint already sits on
+    the boundary within integration accuracy, so its segment collapses onto
+    it and it is returned as is.
+    """
+    todo = np.arange(len(a))
+    while True:
+        todo = todo[np.linalg.norm(b[todo] - a[todo], axis=1) > tol]
+        if not len(todo):
+            return 0.5 * (a + b)
+        mid = 0.5 * (a[todo] + b[todo])
+        label = _classify_batch(mid, params, tol, t_max)
+        side_a = label == label_a[todo]
+        to_a = side_a | (label == UNRESOLVED)
+        a[todo[to_a]] = mid[to_a]
+        b[todo[~side_a]] = mid[~side_a]
+
+
+def _straddling_pairs(labels, side):
+    """Axis-adjacent lattice cells with different resolved labels.
+
+    ``labels`` holds the (side, side, side) lattice in C order. Returns the
+    flat indices of the lower and upper cell of each pair, ordered by the
+    lower cell's index, then by axis (x, y, z).
+    """
+    grid = labels.reshape(side, side, side)
+    resolved = grid != UNRESOLVED
+    straddle = np.zeros((side, side, side, 3), dtype=bool)
+    for axis in range(3):
+        lower = (slice(None),) * axis + (slice(None, -1),)
+        upper = (slice(None),) * axis + (slice(1, None),)
+        straddle[(*lower, ..., axis)] = resolved[lower] & resolved[upper] & (grid[lower] != grid[upper])
+    here, axis = np.nonzero(straddle.reshape(-1, 3))
+    return here, here + np.array([side * side, side, 1]).take(axis)
 
 
 def classify(
@@ -112,10 +166,9 @@ def classify(
     params: CompetitionParams = CompetitionParams(),
     tol: float = DEFAULT_TOL,
     t_max: float = DEFAULT_T_MAX,
-    step: float = DEFAULT_STEP,
 ) -> str:
     """Equilibrium reached from one initial condition (or "unresolved")."""
-    return str(_classify_batch([initial], params, tol, t_max, step)[0])
+    return str(_classify_batch([initial], params, tol, t_max)[0])
 
 
 def bisect_separatrix(
@@ -124,7 +177,6 @@ def bisect_separatrix(
     params: CompetitionParams = CompetitionParams(),
     tol: float = DEFAULT_TOL,
     t_max: float = DEFAULT_T_MAX,
-    step: float = DEFAULT_STEP,
 ) -> np.ndarray:
     """Point on segment [p_a, p_b] within ``tol`` of the basin boundary.
 
@@ -132,21 +184,11 @@ def bisect_separatrix(
     An unresolved midpoint already sits on the boundary within integration
     accuracy and is returned directly.
     """
-    a = np.asarray(p_a, dtype=float).copy()
-    b = np.asarray(p_b, dtype=float).copy()
-    label_a, label_b = _classify_batch([a, b], params, tol, t_max, step)
-    if UNRESOLVED in (label_a, label_b) or label_a == label_b:
-        raise SameBasin(f"endpoints classify as {label_a!r} / {label_b!r}")
-    while np.linalg.norm(b - a) > tol:
-        mid = 0.5 * (a + b)
-        label_mid = str(_classify_batch([mid], params, tol, t_max, step)[0])
-        if label_mid == UNRESOLVED:
-            return mid
-        if label_mid == label_a:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
+    ends = np.array([p_a, p_b], dtype=float)
+    labels = _classify_batch(ends, params, tol, t_max)
+    if UNRESOLVED in labels or labels[0] == labels[1]:
+        raise SameBasin(f"endpoints classify as {labels[0]!r} / {labels[1]!r}")
+    return _bisect(ends[:1], ends[1:], labels[:1], params, tol, t_max)[0]
 
 
 def sample_separatrix(
@@ -155,60 +197,20 @@ def sample_separatrix(
     tol: float = DEFAULT_TOL,
     lattice_side: int = 10,
     t_max: float = DEFAULT_T_MAX,
-    step: float = DEFAULT_STEP,
 ) -> PointSet:
     """Separatrix points from axis-adjacent lattice pairs in the cube.
 
     A lattice of lattice_side^3 initial conditions in [0, cube_edge]^3 is
-    classified; up to ``n_pairs`` adjacent pairs with different resolved
-    labels are refined in lockstep bisection. May return fewer points than
-    pairs when few pairs straddle the boundary.
+    classified; the first ``n_pairs`` adjacent pairs with different
+    resolved labels (by lower cell, then axis) are refined in lockstep
+    bisection. May return fewer points than pairs when few pairs straddle
+    the boundary.
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
     axis = np.linspace(0.0, params.cube_edge, lattice_side)
     gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
     lattice = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
-    labels = _classify_batch(lattice, params, tol, t_max, step)
-
-    def flat(i, j, k):
-        return (i * lattice_side + j) * lattice_side + k
-
-    pairs = []
-    for i in range(lattice_side):
-        for j in range(lattice_side):
-            for k in range(lattice_side):
-                here = flat(i, j, k)
-                for ii, jj, kk in ((i + 1, j, k), (i, j + 1, k), (i, j, k + 1)):
-                    if max(ii, jj, kk) >= lattice_side:
-                        continue
-                    there = flat(ii, jj, kk)
-                    la, lb = labels[here], labels[there]
-                    if UNRESOLVED in (la, lb) or la == lb:
-                        continue
-                    pairs.append((here, there))
-    pairs = pairs[:n_pairs]
-    if not pairs:
-        return PointSet(np.empty((0, 3)))
-
-    a = lattice[[p[0] for p in pairs]].copy()
-    b = lattice[[p[1] for p in pairs]].copy()
-    label_a = labels[[p[0] for p in pairs]]
-    done = np.zeros(len(a), dtype=bool)
-    while True:
-        gap = np.linalg.norm(b - a, axis=1)
-        todo = ~done & (gap > tol)
-        if not todo.any():
-            break
-        mid = 0.5 * (a[todo] + b[todo])
-        mid_labels = _classify_batch(mid, params, tol, t_max, step)
-        rows = np.flatnonzero(todo)
-        for r, lm, m in zip(rows, mid_labels, mid):
-            if lm == UNRESOLVED:
-                a[r] = b[r] = m
-                done[r] = True
-            elif lm == label_a[r]:
-                a[r] = m
-            else:
-                b[r] = m
-    return PointSet(0.5 * (a + b))
+    labels = _classify_batch(lattice, params, tol, t_max)
+    lower, upper = (p[:n_pairs] for p in _straddling_pairs(labels, lattice_side))
+    return PointSet(_bisect(lattice[lower], lattice[upper], labels[lower], params, tol, t_max))

@@ -1,10 +1,11 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import blockpum as bp
-from blockpum import io
+from blockpum import io, separatrix
 from blockpum.cli import generate_nodes, main, shape_vertices
 
 from test_reconstruct import fibonacci_sphere
@@ -213,3 +214,10 @@ class TestSeparatrixDemoCommand:
         assert np.all(sep.coords >= 0)
         surf = io._load_rows(surf_out)
         assert surf.shape[1] == 3
+
+    @pytest.mark.parametrize("tol", ["0", "nan"])
+    def test_bad_tol_exit_1(self, tol, capsys):
+        # refused before the lattice is integrated
+        with mock.patch.object(separatrix, "_rhs_batch", side_effect=AssertionError("integrated")):
+            assert run_cli("separatrix-demo", "--lattice", "3", "--tol", tol) == 1
+        assert f"error: tol must be positive and finite, got {float(tol)}" in capsys.readouterr().err

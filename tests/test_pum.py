@@ -1000,9 +1000,9 @@ class TestPredictOracles:
         seen = []
         local_values = model._local_values
 
-        def spy(points, rows, subs):
+        def spy(points, rows, subs, dists):
             seen.append((rows, subs))
-            return local_values(points, rows, subs)
+            return local_values(points, rows, subs, dists)
 
         model._local_values = spy
         try:
@@ -1024,14 +1024,24 @@ class TestPredictOracles:
         # batch. Only a large subdomain's matrix-vector product rounds by
         # row position, and its rows go by distance from the center, which
         # a permutation keeps unless two distinct points lie at exactly the
-        # same distance; random points do not.
+        # same distance; random points do not. The nearest fallback orders
+        # its steps the same way: the second batch adds uncovered probes,
+        # with enough near-copies of one to send its subdomain through a
+        # step. Exact copies would not do: equal rows of one product can
+        # round differently at different positions, whatever the order.
         model, batch = blend_model(seed, dim, clustered)
         batch = np.unique(batch, axis=0)
-        perm = np.random.default_rng([seed, 2]).permutation(len(batch))
-        with mock.patch.object(blockpart, "JOIN_CHUNK", chunk):
-            want = model.predict(batch)
-            got = model.predict(batch[perm])
-        assert np.array_equal(got, want[perm])
+        rng = np.random.default_rng([seed, 2])
+        box = model.domain.box
+        probes = rng.uniform(box.lo - 0.3, box.hi + 0.3, size=(400, dim))
+        probes = np.delete(probes, model.covering.active(probes)[0], axis=0)[:40]
+        copies = probes[0] + 1e-9 * rng.standard_normal((BLEND_STEP_ENTRIES + 1, dim))
+        for pts in (batch, np.vstack([batch, probes, copies])):
+            perm = rng.permutation(len(pts))
+            with mock.patch.object(blockpart, "JOIN_CHUNK", chunk):
+                want = model.predict(pts, on_uncovered="nearest")
+                got = model.predict(pts[perm], on_uncovered="nearest")
+            assert np.array_equal(got, want[perm])
 
     def test_predict_sorts_only_step_pairs(self, pentagon_run):
         # the structure of the evaluation: the join hands each point its
