@@ -8,6 +8,7 @@ bounding rectangle (``Rect``) and the global square/cubic bounding box
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,28 +183,71 @@ def reduce_to_domain(pts: PointSet, dom: ConvexDomain) -> PointSet:
     return PointSet(pts.coords[mask], values)
 
 
-def _radical_inverse(indices: np.ndarray, base: int) -> np.ndarray:
-    idx = indices.astype(np.int64)
-    out = np.zeros(len(idx))
-    denom = 1.0
-    while idx.any():
+# Low digits of a radical inverse read from one table per base: b**g <= 4096
+# entries, so each table stays in cache.
+_TABLE_DIGITS = {2: 12, 3: 7, 5: 5}
+
+
+def _add_digits(out, idx, denom, count, base):
+    """Add the ``count`` lowest base-``base`` digits of ``idx`` into ``out``, digit k over ``denom * base**k``."""
+    for _ in range(count):
         denom *= base
-        out += (idx % base) / denom
-        idx //= base
+        idx, digit = np.divmod(idx, base)
+        out += digit / denom
     return out
 
 
+@functools.cache
+def _digit_table(base: int) -> np.ndarray:
+    """Radical inverses of 0 .. base**g - 1, summed like ``_radical_inverse``; built once per base."""
+    size = base ** _TABLE_DIGITS[base]
+    table = _add_digits(np.zeros(size), np.arange(size), 1.0, _TABLE_DIGITS[base], base)
+    table.setflags(write=False)
+    return table
+
+
+def _radical_inverse(indices: np.ndarray, base: int) -> np.ndarray:
+    """Digit-reversed non-negative ``indices`` in ``base``: sum of digit_k / base**k, lowest digit first.
+
+    The low g digits come from ``_digit_table``, whose entries are the same
+    running sums; the higher digits are added in the same order with the same
+    exact denominators, and digits past an index's leading one add 0.0, so
+    the bits do not depend on the table's size.
+    """
+    size = base ** _TABLE_DIGITS[base]
+    high, low = np.divmod(indices.astype(np.int64), size)
+    top = int(high.max(initial=0))
+    count = len(np.base_repr(top, base)) if top > 0 else 0
+    return _add_digits(_digit_table(base)[low], high, float(size), count, base)
+
+
+def _check_count(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    return int(value)
+
+
 def halton(n: int, dim: int, skip: int = 0) -> PointSet:
-    """First ``n`` Halton points after skipping ``skip``.
+    """Halton points of indices ``skip + 1`` .. ``skip + n``.
 
     Bases (2, 3) for dim=2 and (2, 3, 5) for dim=3. Indexing starts at 1:
-    halton(1, 2) is the point of index 1, coordinates (1/2, 1/3).
+    halton(1, 2) is the point of index 1, coordinates (1/2, 1/3). Each
+    coordinate is the radical inverse of the index, summed from its lowest
+    digit; the low digits come from a cached table of at most 4096 entries
+    per base, and the bits equal those of the plain digit-by-digit sum.
+
+    ``n`` and ``skip`` must be non-negative integers with ``skip + n`` at
+    most 2**63 - 1; anything else raises ValueError before any point is made.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    n = _check_count("n", n)
+    skip = _check_count("skip", skip)
     if dim not in (2, 3):
         raise ValueError("dim must be 2 or 3")
-    indices = np.arange(skip + 1, skip + n + 1)
+    if skip + n > np.iinfo(np.int64).max:
+        raise ValueError(f"skip + n must be at most 2**63 - 1, got {skip + n}")
+    indices = np.arange(skip + 1, skip + n + 1, dtype=np.int64)
     cols = [_radical_inverse(indices, b) for b in _HALTON_BASES[:dim]]
     return PointSet(np.column_stack(cols) if n else np.empty((0, dim)))
 

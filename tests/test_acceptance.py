@@ -272,6 +272,7 @@ def test_criterion_09_sphere_reconstruction(sphere_reconstruction):
                  f"exterior min {outer.min():.2f} > 0.2 in {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_10_separatrix_demo():
     t0 = time.perf_counter()
     params = CompetitionParams()

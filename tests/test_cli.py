@@ -1,3 +1,4 @@
+import hashlib
 import json
 from unittest import mock
 
@@ -37,8 +38,52 @@ class TestShapes:
         assert 500 < len(nodes) < 700  # pentagon area ~0.594 of the unit square
         assert nodes.values is not None
 
+    @pytest.mark.parametrize(
+        "skip, n, coords_sha, values_sha",
+        [
+            (0, 9900, "102204b4494ff9d164c53436e4e7fa7f886392e60cc5b2935e6e6042138fce1d",
+             "d5d67475ab8d4b193af6e98d61a4a5fde880c2705168fedc1bea5d3048e12db1"),
+            (1, 9900, "d6cc4c15d215177433611e0d83d074c43b88201a8eceb4094d1b26e705c523c1",
+             "2d8e87aab8924c54b948293ddfab2b4e7141edcbf6f54525df5a11105b66e3bd"),
+            (511, 9901, "20890178807437e78c01ee8cf47e14a2c007406db4bcac0b731a77c0424af241",
+             "4315b2c75b1913da2c43b69f3708634fc0e3d3ec1151784dbb5490894935c0da"),
+            (1023, 9899, "ac106adaf1330c2473853ad8288e063ca41529e5b24211100fd42ee821bb379f",
+             "6625dece648a5861d1290b92c37e13bc677e69a386a72467138e5df9a0534fa7"),
+        ],
+    )
+    def test_benchmark_node_sets_pinned(self, skip, n, coords_sha, values_sha):
+        # the interp2d workload's node sets, bit for bit (little-endian float64 bytes)
+        nodes = generate_nodes("pentagon", 16641, skip, "f1")
+        assert len(nodes) == n
+        assert hashlib.sha256(nodes.coords.astype("<f8").tobytes()).hexdigest() == coords_sha
+        assert hashlib.sha256(nodes.values.astype("<f8").tobytes()).hexdigest() == values_sha
+
+
+def row_loop_save_points(path, pts, comment=None):
+    """Oracle: save_points formatting one row at a time."""
+    with open(path, "w", encoding="utf-8") as fh:
+        if comment:
+            fh.write(f"# {comment}\n")
+        data = pts.coords
+        if pts.values is not None:
+            data = np.column_stack([pts.coords, pts.values])
+        for row in data:
+            fh.write(" ".join("%.17g" % v for v in row) + "\n")
+
 
 class TestPointFiles(object):
+    @pytest.mark.parametrize("dim, with_values", [(2, False), (2, True), (3, False), (3, True)])
+    @pytest.mark.parametrize("comment", [None, "x1..xM value"])
+    @pytest.mark.parametrize("n", [0, 1, 1000])
+    def test_save_matches_row_loop(self, tmp_path, rng, dim, with_values, comment, n):
+        coords = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-30, 30, (n, dim))
+        pts = bp.PointSet(coords, rng.random(n) if with_values else None)
+        got, want = tmp_path / "got.txt", tmp_path / "want.txt"
+        with mock.patch.object(io, "SAVE_CHUNK", 7):
+            io.save_points(got, pts, comment=comment)
+        row_loop_save_points(want, pts, comment=comment)
+        assert got.read_bytes() == want.read_bytes()
+
     def test_roundtrip_with_values(self, tmp_path, rng):
         pts = bp.PointSet(rng.random((20, 2)), rng.random(20))
         path = tmp_path / "pts.txt"
@@ -164,6 +209,14 @@ class TestGenPointsCommand:
         assert pts.values is not None
         assert len(pts) < 500
 
+    @pytest.mark.parametrize("command", ["gen-points", "interpolate"])
+    def test_negative_skip_exit_1(self, tmp_path, command, capsys):
+        code = run_cli(command, "--n", "500", "--shape", "pentagon", "--func", "f1",
+                       "--skip", "-3", "--out", str(tmp_path / "pts.txt"))
+        assert code == 1
+        assert "error: skip must be >= 0, got -3" in capsys.readouterr().err
+        assert not (tmp_path / "pts.txt").exists()
+
 
 class TestBenchmarkCommand:
     def test_single_size(self, tmp_path):
@@ -199,6 +252,7 @@ class TestReconstructCommand:
 
 
 class TestSeparatrixDemoCommand:
+    @pytest.mark.slow
     def test_demo_outputs(self, tmp_path):
         pts_out = tmp_path / "sep.txt"
         surf_out = tmp_path / "surf.txt"

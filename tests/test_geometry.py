@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.spatial.distance import cdist
 
 import blockpum as bp
@@ -168,6 +169,49 @@ class TestMembershipMask:
         assert geometry.membership_mask(pentagon_domain, np.empty((0, 2))).shape == (0,)
 
 
+def digit_loop_radical_inverse(indices, base):
+    """Oracle: the radical inverse summed digit by digit, lowest digit first."""
+    idx = indices.astype(np.int64)
+    out = np.zeros(len(idx))
+    denom = 1.0
+    while idx.any():
+        denom *= base
+        out += (idx % base) / denom
+        idx //= base
+    return out
+
+
+class TestRadicalInverse:
+    @given(
+        st.sampled_from(geometry._HALTON_BASES),
+        hnp.arrays(np.int64, st.integers(0, 300), elements=st.integers(0, 2**62)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_digit_loop(self, base, indices):
+        got = geometry._radical_inverse(indices, base)
+        assert np.array_equal(got, digit_loop_radical_inverse(indices, base))
+
+    @pytest.mark.parametrize("base", geometry._HALTON_BASES)
+    def test_million_indices_cross_every_table_boundary(self, base):
+        indices = np.arange(1, 10**6 + 1)
+        assert indices[-1] > 2 * base ** geometry._TABLE_DIGITS[base]
+        got = geometry._radical_inverse(indices, base)
+        assert np.array_equal(got, digit_loop_radical_inverse(indices, base))
+
+    @pytest.mark.parametrize("base", geometry._HALTON_BASES)
+    def test_int64_extremes(self, base):
+        indices = np.array([0, 1, 2**62, 2**63 - 1, 0, 2**63 - 1], dtype=np.int64)
+        got = geometry._radical_inverse(indices, base)
+        assert np.array_equal(got, digit_loop_radical_inverse(indices, base))
+
+    @pytest.mark.parametrize("base", geometry._HALTON_BASES)
+    def test_table_capped_and_read_only(self, base):
+        table = geometry._digit_table(base)
+        assert len(table) == base ** geometry._TABLE_DIGITS[base] <= 4096
+        assert not table.flags.writeable
+        assert np.array_equal(table, digit_loop_radical_inverse(np.arange(len(table)), base))
+
+
 class TestHalton:
     def test_first_point(self):
         pts = bp.halton(1, 2)
@@ -197,6 +241,39 @@ class TestHalton:
     def test_points_distinct(self):
         pts = bp.halton(2000, 3)
         assert len(np.unique(pts.coords, axis=0)) == len(pts)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matches_digit_loop_after_skip(self, dim):
+        indices = np.arange(1_000_001, 1_000_001 + 5000)
+        want = np.column_stack([digit_loop_radical_inverse(indices, b) for b in (2, 3, 5)[:dim]])
+        assert np.array_equal(bp.halton(5000, dim, skip=1_000_000).coords, want)
+
+    def test_last_int64_index(self):
+        pts = bp.halton(1, 2, skip=2**63 - 2)
+        want = [digit_loop_radical_inverse(np.array([2**63 - 1]), b)[0] for b in (2, 3)]
+        assert np.array_equal(pts.coords[0], want)
+
+    @pytest.mark.parametrize(
+        "n, skip, match",
+        [
+            (3, -3, "skip must be >= 0"),
+            (-1, 0, "n must be >= 0"),
+            (2, 2**63 - 2, "at most 2\\*\\*63 - 1"),
+            (2**63, 0, "at most 2\\*\\*63 - 1"),
+            (2.5, 0, "n must be an integer"),
+            (3, 1.5, "skip must be an integer"),
+            (True, 0, "n must be an integer"),
+            (3, False, "skip must be an integer"),
+            (np.float64(3), 0, "n must be an integer"),
+        ],
+    )
+    def test_bad_counts_rejected_before_work(self, n, skip, match):
+        with mock.patch.object(geometry, "_radical_inverse", side_effect=AssertionError("computed")):
+            with pytest.raises(ValueError, match=match):
+                bp.halton(n, 2, skip=skip)
+
+    def test_numpy_integers_accepted(self):
+        assert np.array_equal(bp.halton(np.int64(5), 2, skip=np.int32(2)).coords, bp.halton(5, 2, skip=2).coords)
 
 
 class TestGridOnRect:

@@ -247,11 +247,13 @@ class TestBisect:
 
 
 class TestSampleSeparatrix:
+    @pytest.mark.slow
     def test_small_lattice(self):
         pts = sample_separatrix(PARAMS, n_pairs=25, tol=2e-3, lattice_side=5)
         assert 1 <= len(pts) <= 25
         assert np.all(pts.coords >= 0) and np.all(pts.coords <= PARAMS.cube_edge)
 
+    @pytest.mark.slow
     def test_points_near_boundary(self):
         pts = sample_separatrix(PARAMS, n_pairs=6, tol=2e-3, lattice_side=4)
         rng = np.random.default_rng(7)
@@ -271,6 +273,7 @@ class TestSampleSeparatrix:
         with no_integration(), pytest.raises(ValueError, match=f"{name} must be positive and finite"):
             sample_separatrix(PARAMS, lattice_side=3, **{name: value})
 
+    @pytest.mark.slow
     def test_matches_scalar_oracles(self):
         # lattice labels, pair order and each pair's bisection, all as first written
         side, n_pairs, tol = 4, 3, 5e-3
