@@ -183,9 +183,10 @@ def reduce_to_domain(pts: PointSet, dom: ConvexDomain) -> PointSet:
     return PointSet(pts.coords[mask], values)
 
 
-# Low digits of a radical inverse read from one table per base: b**g <= 4096
-# entries, so each table stays in cache.
-_TABLE_DIGITS = {2: 12, 3: 7, 5: 5}
+# Low digits of a radical inverse read from one table per base of base**g
+# entries, g the most digits with base**g <= _TABLE_CAP, so each table stays
+# in cache.
+_TABLE_CAP = 4096
 
 
 def _add_digits(out, idx, denom, count, base):
@@ -200,8 +201,10 @@ def _add_digits(out, idx, denom, count, base):
 @functools.cache
 def _digit_table(base: int) -> np.ndarray:
     """Radical inverses of 0 .. base**g - 1, summed like ``_radical_inverse``; built once per base."""
-    size = base ** _TABLE_DIGITS[base]
-    table = _add_digits(np.zeros(size), np.arange(size), 1.0, _TABLE_DIGITS[base], base)
+    digits, size = 0, 1
+    while size * base <= _TABLE_CAP:
+        digits, size = digits + 1, size * base
+    table = _add_digits(np.zeros(size), np.arange(size), 1.0, digits, base)
     table.setflags(write=False)
     return table
 
@@ -214,11 +217,12 @@ def _radical_inverse(indices: np.ndarray, base: int) -> np.ndarray:
     exact denominators, and digits past an index's leading one add 0.0, so
     the bits do not depend on the table's size.
     """
-    size = base ** _TABLE_DIGITS[base]
-    high, low = np.divmod(indices.astype(np.int64), size)
-    top = int(high.max(initial=0))
-    count = len(np.base_repr(top, base)) if top > 0 else 0
-    return _add_digits(_digit_table(base)[low], high, float(size), count, base)
+    table = _digit_table(base)
+    high, low = np.divmod(indices.astype(np.int64), len(table))
+    top, count = int(high.max(initial=0)), 0
+    while top:
+        top, count = top // base, count + 1
+    return _add_digits(table[low], high, float(len(table)), count, base)
 
 
 def _check_count(name: str, value) -> int:

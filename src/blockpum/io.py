@@ -18,9 +18,6 @@ from .reconstruct import OrientedCloud, ReconstructionResult, default_step
 
 _FLOAT_FMT = "%.17g"
 
-# Rows per formatted write of save_points: bounds the string built at once.
-SAVE_CHUNK = 2**16
-
 
 def _load_rows(path) -> np.ndarray:
     rows = []
@@ -74,20 +71,14 @@ def load_points(path, dim: int | None = None) -> PointSet:
 
 
 def save_points(path, pts: PointSet, comment: str | None = None) -> None:
-    """Write one point per line, coordinates then value, each as ``%.17g``.
-
-    Rows are formatted ``SAVE_CHUNK`` at a time in one ``%`` each.
-    """
-    data = pts.coords
-    if pts.values is not None:
-        data = np.column_stack([pts.coords, pts.values])
-    line = " ".join([_FLOAT_FMT] * data.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         if comment:
             fh.write(f"# {comment}\n")
-        for lo in range(0, len(data), SAVE_CHUNK):
-            chunk = data[lo : lo + SAVE_CHUNK]
-            fh.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
+        data = pts.coords
+        if pts.values is not None:
+            data = np.column_stack([pts.coords, pts.values])
+        for row in data:
+            fh.write(" ".join(_FLOAT_FMT % v for v in row) + "\n")
 
 
 def load_oriented_cloud(path, step: float | None = None) -> OrientedCloud:

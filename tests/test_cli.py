@@ -59,31 +59,7 @@ class TestShapes:
         assert hashlib.sha256(nodes.values.astype("<f8").tobytes()).hexdigest() == values_sha
 
 
-def row_loop_save_points(path, pts, comment=None):
-    """Oracle: save_points formatting one row at a time."""
-    with open(path, "w", encoding="utf-8") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        data = pts.coords
-        if pts.values is not None:
-            data = np.column_stack([pts.coords, pts.values])
-        for row in data:
-            fh.write(" ".join("%.17g" % v for v in row) + "\n")
-
-
 class TestPointFiles(object):
-    @pytest.mark.parametrize("dim, with_values", [(2, False), (2, True), (3, False), (3, True)])
-    @pytest.mark.parametrize("comment", [None, "x1..xM value"])
-    @pytest.mark.parametrize("n", [0, 1, 1000])
-    def test_save_matches_row_loop(self, tmp_path, rng, dim, with_values, comment, n):
-        coords = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-30, 30, (n, dim))
-        pts = bp.PointSet(coords, rng.random(n) if with_values else None)
-        got, want = tmp_path / "got.txt", tmp_path / "want.txt"
-        with mock.patch.object(io, "SAVE_CHUNK", 7):
-            io.save_points(got, pts, comment=comment)
-        row_loop_save_points(want, pts, comment=comment)
-        assert got.read_bytes() == want.read_bytes()
-
     def test_roundtrip_with_values(self, tmp_path, rng):
         pts = bp.PointSet(rng.random((20, 2)), rng.random(20))
         path = tmp_path / "pts.txt"

@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.spatial.distance import cdist
@@ -181,20 +181,28 @@ def digit_loop_radical_inverse(indices, base):
     return out
 
 
+def power_boundaries(base):
+    """Indices one below, at and one above every power of ``base`` up to 2**62.
+
+    These cross every digit count and so every multiple of a table size.
+    """
+    powers = [base**k for k in range(1, 63) if base**k <= 2**62]
+    return np.array([p + d for p in powers for d in (-1, 0, 1)], dtype=np.int64)
+
+
 class TestRadicalInverse:
     @given(
         st.sampled_from(geometry._HALTON_BASES),
         hnp.arrays(np.int64, st.integers(0, 300), elements=st.integers(0, 2**62)),
     )
+    @example(2, power_boundaries(2))
+    @example(3, power_boundaries(3))
+    @example(5, power_boundaries(5))
+    @example(3, np.arange(1_000_001, 1_005_001))
+    @example(7, power_boundaries(7))  # any base works, not only the Halton ones
+    @example(4099, power_boundaries(4099))  # a base past the table cap: no table digits
     @settings(max_examples=200, deadline=None)
     def test_matches_digit_loop(self, base, indices):
-        got = geometry._radical_inverse(indices, base)
-        assert np.array_equal(got, digit_loop_radical_inverse(indices, base))
-
-    @pytest.mark.parametrize("base", geometry._HALTON_BASES)
-    def test_million_indices_cross_every_table_boundary(self, base):
-        indices = np.arange(1, 10**6 + 1)
-        assert indices[-1] > 2 * base ** geometry._TABLE_DIGITS[base]
         got = geometry._radical_inverse(indices, base)
         assert np.array_equal(got, digit_loop_radical_inverse(indices, base))
 
@@ -204,10 +212,10 @@ class TestRadicalInverse:
         got = geometry._radical_inverse(indices, base)
         assert np.array_equal(got, digit_loop_radical_inverse(indices, base))
 
-    @pytest.mark.parametrize("base", geometry._HALTON_BASES)
-    def test_table_capped_and_read_only(self, base):
+    @pytest.mark.parametrize("base, size", [(2, 4096), (3, 2187), (5, 3125), (4099, 1)])
+    def test_table_capped_and_read_only(self, base, size):
         table = geometry._digit_table(base)
-        assert len(table) == base ** geometry._TABLE_DIGITS[base] <= 4096
+        assert len(table) == size <= geometry._TABLE_CAP
         assert not table.flags.writeable
         assert np.array_equal(table, digit_loop_radical_inverse(np.arange(len(table)), base))
 
@@ -241,12 +249,6 @@ class TestHalton:
     def test_points_distinct(self):
         pts = bp.halton(2000, 3)
         assert len(np.unique(pts.coords, axis=0)) == len(pts)
-
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_matches_digit_loop_after_skip(self, dim):
-        indices = np.arange(1_000_001, 1_000_001 + 5000)
-        want = np.column_stack([digit_loop_radical_inverse(indices, b) for b in (2, 3, 5)[:dim]])
-        assert np.array_equal(bp.halton(5000, dim, skip=1_000_000).coords, want)
 
     def test_last_int64_index(self):
         pts = bp.halton(1, 2, skip=2**63 - 2)
