@@ -51,12 +51,13 @@ The Shepard blend and the nearest-subdomain fallback get their local
 values from the same routine, which splits the touched subdomains by the
 (point, member) entries they hold in that call: subdomains at or below
 ``BLEND_STEP_ENTRIES`` are evaluated together in vectorized passes over
-their entries, pair by pair in any order, larger ones keep one
-distance/kernel/matrix-vector step each, where BLAS beats the per-entry
-gathers. A step rounds by row position, so only its pairs are sorted,
-by (subdomain, distance, point row): each pair occurs once, so this
-order, and with it every bit of the values, does not depend on how the
-join gathered them.
+their entries, larger ones keep one distance/kernel/product step each,
+where one kernel matrix beats the per-entry gathers. Both paths add each
+(point, subdomain) pair's terms, in member-table order, by one rule:
+numpy's ``.sum()`` of that row of terms. So a pair's value depends on
+the point and the subdomain alone, not on the path, on its row in a
+step or on the rest of the batch, and evaluation sorts nothing but the
+step pairs, grouped by subdomain in any order within each.
 
 Rows of (n, M) coordinate arrays are gathered with ``take(..., axis=0)``
 on every hot path: it copies the same values as fancy indexing at a
@@ -109,12 +110,11 @@ DEFAULT_EVAL_GRID = {2: 1600, 3: 8000}
 FILL_PROBE_CAP = 20000
 
 # A touched subdomain with at most this many (point, member) entries in one
-# evaluation joins the vectorized blend; above it, its own BLAS step is
-# cheaper. With np.take gathers a step costs ~13-21 us of Python against
+# evaluation joins the vectorized blend; above it, its own kernel-matrix step
+# is cheaper. With np.take gathers a step costs ~13-21 us of Python against
 # ~15-30 ns more per gathered entry (2-vCPU x86 host, numpy 2.4), which puts
-# the break-even at ~700-1100 entries. The value stays at 512 all the same:
-# moving it would switch subdomains between the two paths, which round
-# differently.
+# the break-even at ~700-1100 entries. It sets speed only: both paths give
+# the same bits.
 BLEND_STEP_ENTRIES = 512
 
 # (point, member) entries per vectorized blend pass, and kernel-matrix
@@ -130,6 +130,11 @@ NEAREST_TIE_REL = 1e-12
 # A tiny radius would otherwise ask for (edge/radius)^M bucket counters;
 # fewer, wider blocks keep every search complete.
 GRID_BLOCKS_PER_POINT = 8
+
+
+def is_count(value) -> bool:
+    """Whether ``value`` is an integer >= 1: a Python or numpy integer, not a bool."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= 1
 
 
 @dataclass(frozen=True)
@@ -155,11 +160,11 @@ class PumConfig:
     threads: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.kernel, Kernel):
+            raise ValueError(f"kernel must be a Kernel, as make_kernel returns, got {self.kernel!r}")
         for name in ("d_r", "s_r"):
             count = getattr(self, name)
-            if count is not None and (
-                isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1
-            ):
+            if count is not None and not is_count(count):
                 raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
@@ -659,20 +664,22 @@ class PumModel:
         """
         rows, subs, dists = self.covering.active(points)
         w = phi_wendland_c2(dists, 1.0 / self.delta)
-        local = self._local_values(points, rows, subs, dists)
+        local = self._local_values(points, rows, subs)
         local *= w
         return np.bincount(rows, local, len(points)), np.bincount(rows, w, len(points))
 
-    def _local_values(self, points, rows, subs, dists):
+    def _local_values(self, points, rows, subs):
         """Local fit of subdomain ``subs[i]`` at ``points[rows[i]]``, for pairs in any order.
 
-        Subdomains with at most BLEND_STEP_ENTRIES (point, member) entries
-        in this call go through the vectorized pass, pair by pair. Larger
-        ones get one matrix-vector product each, which rounds by row
-        position, so only their pairs are sorted, by (subdomain, distance,
-        row) with one lexsort: the order, and with it every bit, does not
-        depend on how the batch is made up. The products write consecutive
-        slices of one buffer, which is scattered back once.
+        Each pair's terms, phi(|p - x_k|) c_k in member-table order, are
+        added as numpy's ``.sum()`` adds that row, so every value depends
+        on its point and subdomain alone. Subdomains with at most
+        BLEND_STEP_ENTRIES (point, member) entries in this call go through
+        the vectorized pass. Larger ones get one kernel matrix each, whose
+        rows are summed with ``.sum(axis=1)``; their pairs are grouped by
+        subdomain with one argsort, in any order within a subdomain. The
+        row sums write consecutive slices of one buffer, which is scattered
+        back once.
         """
         table = self.members
         counts = np.bincount(subs, minlength=len(table.sizes))
@@ -685,15 +692,16 @@ class PumModel:
         if small.any():
             local[small] = self._vectorized_values(points, rows[small], subs[small])
         at = step.nonzero()[0]
-        at = at[np.lexsort((rows.take(at), dists.take(at), subs.take(at)))]
+        at = at.take(np.argsort(subs.take(at)))
         at_rows = rows.take(at)
         present = heavy.nonzero()[0]
         buf = np.empty(len(at))
         lo = 0
         for j, hi in zip(present, counts[present].cumsum()):
             a, b = table.ptr[j], table.ptr[j + 1]
-            pts = points.take(at_rows[lo:hi], axis=0)
-            buf[lo:hi] = self.kernel(cdist(pts, table.coords[a:b])) @ table.coefficients[a:b]
+            terms = self.kernel(cdist(points.take(at_rows[lo:hi], axis=0), table.coords[a:b]))
+            terms *= table.coefficients[a:b]
+            buf[lo:hi] = terms.sum(axis=1)
             lo = hi
         local[at] = buf
         return local
@@ -702,14 +710,18 @@ class PumModel:
         """``_local_values`` for small subdomains, in passes of BLEND_CHUNK entries.
 
         Distances come from ``row_norms``: the bits of the large-subdomain
-        step's ``cdist``.
+        step's ``cdist``. Each pair gets one leading slot, set to 0.0 after
+        the products: ``np.add.reduceat`` adds a segment as its first term
+        plus the pairwise sum of the rest, so with that 0.0 first it adds
+        the pair's terms as ``.sum()`` does.
         """
         table = self.members
-        sizes = table.sizes.take(subs)
+        # entries per pair: a leading slot, then one per member
+        sizes = table.sizes.take(subs) + 1
         cuts = [0, len(rows)]
         total = sizes.sum()
         if total > BLEND_CHUNK:
-            # no pair holds more than BLEND_STEP_ENTRIES < BLEND_CHUNK entries, so no pass is empty
+            # no pair holds more than BLEND_STEP_ENTRIES + 1 < BLEND_CHUNK entries, so no pass is empty
             ends = sizes.cumsum()
             cuts[1:1] = np.searchsorted(ends, np.arange(BLEND_CHUNK, total, BLEND_CHUNK), side="right")
         out = np.empty(len(rows))
@@ -717,13 +729,15 @@ class PumModel:
             n = sizes[lo:hi]
             starts = n.cumsum()
             starts -= n
-            # entry t of pair i is member row ptr[subs[i]] + (t - starts[i])
-            pos = (table.ptr.take(subs[lo:hi]) - starts).repeat(n)
+            # entry t of pair i is member row ptr[subs[i]] + (t - starts[i]) - 1; the leading
+            # slot gathers a row it then discards (the last one, for subdomain 0)
+            pos = (table.ptr.take(subs[lo:hi]) - starts - 1).repeat(n)
             pos += np.arange(len(pos))
             delta = table.coords.take(pos, axis=0)
             delta -= points.take(rows[lo:hi], axis=0).repeat(n, axis=0)
             terms = self.kernel(row_norms(delta))
             terms *= table.coefficients.take(pos)
+            terms[starts] = 0.0
             out[lo:hi] = np.add.reduceat(terms, starts)
         return out
 
@@ -733,8 +747,7 @@ class PumModel:
         The two nearest centers come from the covering's k-d tree. Where
         their distances agree to NEAREST_TIE_REL, the row takes the first
         center of least ``cdist`` distance, so near-ties go as they would in
-        an argmin over all centers. The tree's nearest distance orders the
-        rows of a matrix-vector step, as in the blend.
+        an argmin over all centers.
         """
         dist, nearest = self.covering.center_tree.query(pts, k=2)
         # a lone center leaves the second distance inf: never a tie
@@ -742,7 +755,7 @@ class PumModel:
         nearest = nearest[:, 0]
         if len(ties):
             nearest[ties] = cdist(pts[ties], self.covering.centers).argmin(axis=1)
-        return self._local_values(pts, np.arange(len(pts)), nearest, dist[:, 0])
+        return self._local_values(pts, np.arange(len(pts)), nearest)
 
 
 @dataclass

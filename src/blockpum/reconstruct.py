@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import PointSet, Rect
-from .pum import PumConfig, PumModel, RunReport, evaluate, fit_model
+from .pum import PumConfig, PumModel, RunReport, evaluate, fit_model, is_count
 
 DEFAULT_STEP_FRACTION = 0.01  # of the bounding-box edge
 
@@ -90,9 +90,13 @@ def grid_coords(rect: Rect, shape) -> np.ndarray:
 def reconstruct(cloud: OrientedCloud, cfg: PumConfig, grid_shape=(50, 50, 50)) -> ReconstructionResult:
     """Interpolate the augmented cloud and sample the field on a grid.
 
-    Grid points outside every subdomain (corners of the bounding rectangle
-    beyond the hull) take the nearest subdomain's local fit.
+    ``grid_shape`` is three point counts, each an integer >= 1, else
+    ValueError is raised before any fitting. Grid points outside every
+    subdomain (corners of the bounding rectangle beyond the hull) take the
+    nearest subdomain's local fit.
     """
+    if len(grid_shape) != 3 or not all(is_count(c) for c in grid_shape):
+        raise ValueError(f"grid_shape must be three integers >= 1, got {grid_shape!r}")
     augmented = augment(cloud)
     model = fit_model(augmented, cfg)
     coords = grid_coords(model.domain.rect, grid_shape)

@@ -799,7 +799,7 @@ def oracle_solve(model, j):
 def _per_subdomain(model, pts):
     """Per-subdomain evaluation: index the points, one range_search per center,
     one local solve per touched subdomain, blend subdomains in ascending order,
-    each with its rows by (distance, row).
+    each local value the ``.sum()`` of its row of terms.
 
     Returns the Shepard numerator and denominator, and the weighted sum of
     |phi(|p - x_jk|) c_jk| over every local term.
@@ -818,7 +818,7 @@ def _per_subdomain(model, pts):
         w = phi_wendland_c2(found.distances[inside], 1.0 / model.delta)
         coef = oracle_solve(model, j)
         local = model.kernel(cdist(pts[members], model.nodes.coords[members_of(model.covering, j)]))
-        num[members] += w * (local @ coef)
+        num[members] += w * (local * coef).sum(axis=1)
         den[members] += w
         mag[members] += w * np.abs(local * coef).sum(axis=1)
     assert den.min() > 0
@@ -860,7 +860,7 @@ def shepard_value(model, p):
 
 def reference_nearest(model, pts):
     """Nearest-subdomain fallback, per subdomain: argmin over all center distances,
-    then one local solve and one matrix-vector product per chosen subdomain.
+    then one local solve per chosen subdomain, each value the ``.sum()`` of its row of terms.
 
     Returns the chosen subdomains, the values and the sums of |phi(|p - x_k|) c_k|.
     """
@@ -871,7 +871,7 @@ def reference_nearest(model, pts):
         rows = np.flatnonzero(nearest == j)
         coef = oracle_solve(model, j)
         local = model.kernel(cdist(pts[rows], model.nodes.coords[members_of(model.covering, j)]))
-        vals[rows] = local @ coef
+        vals[rows] = (local * coef).sum(axis=1)
         mag[rows] = np.abs(local * coef).sum(axis=1)
     return nearest, vals, mag
 
@@ -970,10 +970,9 @@ class TestPredictOracles:
             assert split.any() and not split.all()
         got = model.predict(batch)
         assert_within_rounding(got, model, batch)
-        # one-point batches: the split depends on the batch, so alone a point may take the other path
-        bound = rounding_bound(model, batch)
+        # alone, a point may take the other path, which adds its terms the same way
         alone = np.array([model.predict(p[None, :])[0] for p in batch])
-        assert np.all(np.abs(alone - got) <= bound)
+        assert np.array_equal(alone, got)
         assert model.predict(np.empty((0, dim))).shape == (0,)
 
     @given(st.integers(0, 2**31 - 1), st.sampled_from([2, 3]), st.booleans())
@@ -1000,9 +999,9 @@ class TestPredictOracles:
         seen = []
         local_values = model._local_values
 
-        def spy(points, rows, subs, dists):
+        def spy(points, rows, subs):
             seen.append((rows, subs))
-            return local_values(points, rows, subs, dists)
+            return local_values(points, rows, subs)
 
         model._local_values = spy
         try:
@@ -1020,22 +1019,16 @@ class TestPredictOracles:
     @given(st.integers(0, 2**31 - 1), st.sampled_from([2, 3]), st.booleans(), st.sampled_from([3, 2048]))
     @settings(max_examples=12, deadline=None)
     def test_permuted_batch_gives_permuted_values(self, seed, dim, clustered, chunk):
-        # Each point adds its subdomains in ascending order, whatever the
-        # batch. Only a large subdomain's matrix-vector product rounds by
-        # row position, and its rows go by distance from the center, which
-        # a permutation keeps unless two distinct points lie at exactly the
-        # same distance; random points do not. The nearest fallback orders
-        # its steps the same way: the second batch adds uncovered probes,
-        # with enough near-copies of one to send its subdomain through a
-        # step. Exact copies would not do: equal rows of one product can
-        # round differently at different positions, whatever the order.
+        # Each point adds its subdomains in ascending order, and each local
+        # value its terms by one rule, whatever the batch. The second batch
+        # adds uncovered probes, with enough exact copies of one to send its
+        # nearest subdomain through a step.
         model, batch = blend_model(seed, dim, clustered)
-        batch = np.unique(batch, axis=0)
         rng = np.random.default_rng([seed, 2])
         box = model.domain.box
         probes = rng.uniform(box.lo - 0.3, box.hi + 0.3, size=(400, dim))
         probes = np.delete(probes, model.covering.active(probes)[0], axis=0)[:40]
-        copies = probes[0] + 1e-9 * rng.standard_normal((BLEND_STEP_ENTRIES + 1, dim))
+        copies = np.repeat(probes[:1], BLEND_STEP_ENTRIES + 1, axis=0)
         for pts in (batch, np.vstack([batch, probes, copies])):
             perm = rng.permutation(len(pts))
             with mock.patch.object(blockpart, "JOIN_CHUNK", chunk):
@@ -1043,11 +1036,36 @@ class TestPredictOracles:
                 got = model.predict(pts[perm], on_uncovered="nearest")
             assert np.array_equal(got, want[perm])
 
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([2, 3]), st.booleans(), st.sampled_from([3, 2048]))
+    @settings(max_examples=12, deadline=None)
+    def test_each_value_is_its_point_predicted_alone(self, seed, dim, clustered, chunk):
+        # covered points, uncovered ones and exact copies of one covered
+        # point, enough to send its subdomains through steps; forcing every
+        # subdomain through a step, or none, changes no bit either
+        model, batch = blend_model(seed, dim, clustered)
+        rng = np.random.default_rng([seed, 4])
+        box = model.domain.box
+        probes = rng.uniform(box.lo - 0.3, box.hi + 0.3, size=(400, dim))
+        probes = np.delete(probes, model.covering.active(probes)[0], axis=0)[:40]
+        pts = np.vstack([batch, probes, np.repeat(batch[:1], BLEND_STEP_ENTRIES + 1, axis=0)])
+        pts = pts[rng.permutation(len(pts))]
+        assert step_split(model, pts).any()
+        unique, inverse = np.unique(pts, axis=0, return_inverse=True)
+        perm = rng.permutation(len(pts))
+        with mock.patch.object(blockpart, "JOIN_CHUNK", chunk):
+            got = model.predict(pts, on_uncovered="nearest")
+            alone = np.array([model.predict(p[None, :], on_uncovered="nearest")[0] for p in unique])
+            assert np.array_equal(got, alone[inverse])
+            assert np.array_equal(model.predict(pts[perm], on_uncovered="nearest"), got[perm])
+            for entries in (0, 2**62):
+                with mock.patch.object(pum_module, "BLEND_STEP_ENTRIES", entries):
+                    assert np.array_equal(model.predict(pts, on_uncovered="nearest"), got)
+
     def test_predict_sorts_only_step_pairs(self, pentagon_run):
         # the structure of the evaluation: the join hands each point its
         # subdomains ascending, the sums take them in that order, only the
-        # pairs of step subdomains are sorted, and no row norm goes through
-        # einsum
+        # pairs of step subdomains are grouped by subdomain, with one
+        # argsort, and no row norm goes through einsum
         _, result = pentagon_run
         model = result.model
         small, large = result.eval_points[:8], result.eval_points[:64]
@@ -1063,12 +1081,12 @@ class TestPredictOracles:
                 mock.patch.object(pum_module.np, "add", mock.Mock(wraps=np.add)) as add,
             ):
                 model.predict(pts)
-            assert not argsort.called and not einsum.called and not add.at.called
+            assert not lexsort.called and not einsum.called and not add.at.called
             if split.any():
-                (keys,), _ = lexsort.call_args
-                assert lexsort.call_count == 1 and [len(k) for k in keys] == [step_pairs] * 3
+                (keys,), _ = argsort.call_args
+                assert argsort.call_count == 1 and len(keys) == step_pairs
             else:
-                assert not lexsort.called
+                assert not argsort.called
 
     @given(st.integers(0, 2**31 - 1), st.sampled_from([2, 3]), st.booleans(), st.sampled_from([1, 3, 2048]))
     @settings(max_examples=12, deadline=None)
@@ -1124,6 +1142,23 @@ class TestPredictOracles:
         assert np.allclose(got, want, rtol=0, atol=1e-12)
 
 
+def test_numpy_adds_a_row_by_one_rule():
+    # Both local-value paths rely on this: np.add.reduceat adds a segment
+    # that leads with a 0.0 slot as .sum() adds the segment's terms, and
+    # .sum(axis=1) adds a row the same way whatever the number of rows.
+    # 20 000 rows, past the 64 tried at every length, take the lengths
+    # around the pairwise sum's unrolled blocks (8) and its recursion (128).
+    rng = np.random.default_rng(23)
+    lengths = np.arange(1, 301)
+    terms = [rng.standard_normal(n) * 10.0 ** rng.integers(-6, 7, n) for n in lengths]
+    want = np.array([t.sum() for t in terms])
+    slots = np.concatenate([np.concatenate([[0.0], t]) for t in terms])
+    assert np.array_equal(np.add.reduceat(slots, np.cumsum(lengths + 1) - lengths - 1), want)
+    for n, t, w in zip(lengths, terms, want):
+        for rows in (1, 2, 64, 20000) if n in (1, 2, 7, 8, 9, 127, 128, 129, 256, 257, 300) else (1, 2, 64):
+            assert np.array_equal(np.tile(t, (rows, 1)).sum(axis=1), np.full(rows, w))
+
+
 class TestPredictInput:
     def test_wrong_dimension_raises(self, pentagon_run):
         _, result = pentagon_run
@@ -1168,6 +1203,12 @@ def test_config_rejects_nonpositive_threads(threads):
 def test_config_rejects_bad_grid_counts(field, count):
     with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
         wendland_cfg(**{field: count})
+
+
+@pytest.mark.parametrize("kernel", [None, "wendland-c2", phi_wendland_c2])
+def test_config_rejects_a_kernel_not_made_by_make_kernel(kernel):
+    with pytest.raises(ValueError, match="make_kernel"):
+        bp.PumConfig(kernel=kernel)
 
 
 def test_config_accepts_numpy_integer_counts():

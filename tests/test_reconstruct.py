@@ -1,3 +1,6 @@
+import sys
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -127,6 +130,19 @@ class TestReconstructGrid:
         mid = (12**3 - 1) // 2
         center_val = result.values[mid]
         assert np.isfinite(center_val)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(0, 4, 4), (-2, 4, 4), (4, 4), (4, 4, 4, 4), (4.0, 4, 4), (4, True, 4), (4, 4, np.float64(4))],
+        ids=["zero", "negative", "2d", "4d", "float", "bool", "numpy-float"],
+    )
+    def test_bad_grid_shape_raises_before_fitting(self, sphere_model, monkeypatch, shape):
+        cloud, _ = sphere_model
+        reconstruct_module = sys.modules["blockpum.reconstruct"]
+        monkeypatch.setattr(reconstruct_module, "augment", mock.Mock(side_effect=AssertionError("augmented")))
+        cfg = bp.PumConfig(kernel=bp.make_kernel("wu-c4", 1.0), d_r=343)
+        with pytest.raises(ValueError, match="grid_shape must be three integers >= 1"):
+            reconstruct(cloud, cfg, grid_shape=shape)
 
 
 def write_value_grid_per_value(path, result):
