@@ -319,10 +319,13 @@ def _join_chunk(bs: BlockStructure, queries: np.ndarray, radius: float, offset: 
     blocks = _block_codes(queries, bs.box, bs.width, bs.q)
     sizes = sizes.take(blocks, axis=0)
     firsts = firsts.take(blocks, axis=0).ravel()
-    per_query = sizes.sum(axis=1)
+    runs = sizes.shape[1]
     sizes = sizes.ravel()
     # candidate t of a (query, run) pair sits at sorted_idx[first + t]
     run_ends = sizes.cumsum()
+    # a query's candidates end where its last run does
+    per_query = run_ends[runs - 1 :: runs].copy()
+    per_query[1:] -= run_ends[runs - 1 : -1 : runs]
     pos = (firsts - run_ends + sizes).repeat(sizes)
     pos += np.arange(len(pos))
     cand = bs.sorted_idx.take(pos)

@@ -4,6 +4,12 @@ The interpolation domain is detected automatically as the convex hull of the
 data sites.  Two auxiliary structures are derived from it: the tight per-axis
 bounding rectangle (``Rect``) and the global square/cubic bounding box
 (``Box``) whose subdivision into blocks drives the neighbor search.
+
+Every in-hull test (``membership_mask``, and through it ``contains`` and
+``reduce_to_domain``) costs points x facets half-space values. It tabulates
+them in passes with the longer of the two axes contiguous: facet by facet
+when a pass holds at least as many points as the hull has facets, point by
+point otherwise.
 """
 
 from __future__ import annotations
@@ -154,18 +160,28 @@ def contains(dom: ConvexDomain, p) -> bool:
 def membership_mask(dom: ConvexDomain, coords: np.ndarray) -> np.ndarray:
     """Vectorized in-hull test for a (n, dim) coordinate array, in cache-sized passes over the points.
 
-    BLAS may round a half-space value by the rows of its pass, so a point
-    whose value lies within rounding of the tolerance can fall on either
-    side, and ``contains`` may answer it otherwise than a larger mask;
-    every other point gets the answer of a single pass.
+    Each pass holds MASK_CHUNK // facets points (at least one) and tabulates
+    every (point, facet) half-space value; the largest value of a point
+    decides. The longer axis of the table is the contiguous one, so the
+    largest value is a reduction along long rows: when a pass holds at least
+    as many points as the hull has facets (at most 256 facets at the default
+    MASK_CHUNK), the table is laid out facet by facet, else point by point.
+
+    BLAS may round a half-space value by the rows of its pass and by the
+    layout, so a point whose value lies within rounding of the tolerance
+    can fall on either side, and ``contains`` may answer it otherwise than
+    a larger mask; every other point gets the answer of a single pass.
     """
-    step = max(1, MASK_CHUNK // len(dom.normals))
+    facets = len(dom.normals)
+    step = max(1, MASK_CHUNK // facets)
     mask = np.empty(len(coords), dtype=bool)
     for lo in range(0, len(coords), step):
         # the largest half-space value decides; a NaN in a row propagates to it and fails the test
-        values = coords[lo : lo + step] @ dom.normals.T
-        values += dom.offsets
-        np.less_equal(values.max(axis=1), dom.tol, out=mask[lo : lo + step])
+        chunk = coords[lo : lo + step]
+        # (facet, point) values either way; only the memory layout differs
+        values = dom.normals @ chunk.T if step >= facets else (chunk @ dom.normals.T).T
+        values += dom.offsets[:, None]
+        np.less_equal(values.max(axis=0), dom.tol, out=mask[lo : lo + step])
     return mask
 
 

@@ -772,7 +772,13 @@ def _check_nodes(nodes: PointSet) -> None:
         raise ValueError("nodes must carry values")
     coords = nodes.coords
     order = np.lexsort(coords.T[::-1])
-    same = np.flatnonzero((coords[order[1:]] == coords[order[:-1]]).all(axis=1))
+    ranked = coords.take(order, axis=0)
+    # neighbours in the sort compared a column at a time: a reduction over
+    # 2- or 3-wide rows costs more than the comparisons themselves
+    same = ranked[1:, 0] == ranked[:-1, 0]
+    for k in range(1, coords.shape[1]):
+        same &= ranked[1:, k] == ranked[:-1, k]
+    same = same.nonzero()[0]
     if len(same):
         # the sort is stable, so the later site of each equal pair is order[same + 1]
         k = same[np.argmin(order[same + 1])]

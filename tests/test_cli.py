@@ -16,6 +16,15 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def row_loop_points_file(pts, comment=None):
+    """Oracle: a point file written one row at a time, each value formatted on its own."""
+    text = f"# {comment}\n" if comment else ""
+    data = pts.coords if pts.values is None else np.column_stack([pts.coords, pts.values])
+    for row in data:
+        text += " ".join("%.17g" % v for v in row) + "\n"
+    return text
+
+
 class TestShapes:
     def test_pentagon_matches_spec_layout(self):
         verts = shape_vertices("pentagon")
@@ -58,6 +67,17 @@ class TestShapes:
         assert hashlib.sha256(nodes.coords.astype("<f8").tobytes()).hexdigest() == coords_sha
         assert hashlib.sha256(nodes.values.astype("<f8").tobytes()).hexdigest() == values_sha
 
+    @pytest.mark.slow
+    def test_every_benchmark_node_set_pinned(self):
+        # all 1024 skips the interp2d workload draws from: coordinates then
+        # values of each set, in skip order, as little-endian float64 bytes
+        digest = hashlib.sha256()
+        for skip in range(1024):
+            nodes = generate_nodes("pentagon", 16641, skip, "f1")
+            digest.update(nodes.coords.astype("<f8").tobytes())
+            digest.update(nodes.values.astype("<f8").tobytes())
+        assert digest.hexdigest() == "675d01ba6af75b0507b6f2f88a3917592c492e2dc50e16ce26e2c0b5a5c640a6"
+
 
 class TestPointFiles(object):
     def test_roundtrip_with_values(self, tmp_path, rng):
@@ -93,6 +113,21 @@ class TestPointFiles(object):
         path.write_text("0.1 oops\n")
         with pytest.raises(ValueError, match="pts.txt:1"):
             io.load_points(path)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("with_values", [False, True])
+    @pytest.mark.parametrize("comment", [None, "x1..xM value"])
+    @pytest.mark.parametrize("n", [0, 1, 57, 2 * 4096 + 1])
+    def test_saved_bytes_equal_row_loop(self, tmp_path, rng, dim, with_values, comment, n):
+        # mixed magnitudes, signs, integers and a negative zero; the last
+        # count spans several of save_points' blocks of rows
+        data = rng.standard_normal((n, dim + 1)) * 10.0 ** rng.integers(-300, 300, (n, dim + 1))
+        data[::3, -1] = np.round(data[::3, -1])
+        data.flat[: min(n, 1)] = -0.0
+        pts = bp.PointSet(data[:, :dim], data[:, dim] if with_values else None)
+        path = tmp_path / "pts.txt"
+        io.save_points(path, pts, comment=comment)
+        assert path.read_bytes() == row_loop_points_file(pts, comment).encode("utf-8")
 
 
 class TestGridSpec:

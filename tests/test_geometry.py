@@ -120,12 +120,23 @@ def facet_probes(rng, dim):
     return dom, np.vstack([rng.uniform(-0.2, 1.2, (40, dim)), dom.vertices, on_facet, moved]), shifts
 
 
+# MASK_CHUNK values: fixed ones, and for a hull of f facets f*f and f*f - 1,
+# whose passes of f and f - 1 points sit on either side of the layout switch
+MASK_CHUNKS = st.sampled_from([1, 5, 64, 2**16, "switch", "below switch"])
+
+
+def mask_chunk(chunk, dom):
+    facets = len(dom.normals)
+    return {"switch": facets * facets, "below switch": facets * facets - 1}.get(chunk, chunk)
+
+
 class TestMembershipMask:
-    @given(st.integers(0, 2**31 - 1), st.sampled_from([2, 3]), st.sampled_from([1, 5, 64, 2**16]))
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([2, 3]), MASK_CHUNKS)
     @settings(max_examples=40, deadline=None)
     def test_passes_match_one_shot(self, seed, dim, chunk):
         rng = np.random.default_rng(seed)
         dom, coords, shifts = facet_probes(rng, dim)
+        chunk = mask_chunk(chunk, dom)
         values = coords @ dom.normals.T + dom.offsets
         want = np.all(values <= dom.tol, axis=1)
         # BLAS blocks the product by the rows of each pass, so a half-space
@@ -142,13 +153,14 @@ class TestMembershipMask:
         # hull vertices lie on facets, and the boundary counts as inside
         assert got[40 : 40 + len(dom.vertices)].all()
 
-    @given(st.integers(0, 2**31 - 1), st.sampled_from([2, 3]), st.sampled_from([1, 5, 64, 2**16]))
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([2, 3]), MASK_CHUNKS)
     @settings(max_examples=40, deadline=None)
     def test_decisions_equal_every_facet_test_of_each_pass(self, seed, dim, chunk):
         # the largest half-space value decides as the all() over every
         # facet did, on the same products, NaN and infinite rows included
         rng = np.random.default_rng(seed)
         dom, coords, _ = facet_probes(rng, dim)
+        chunk = mask_chunk(chunk, dom)
         bad = rng.choice([np.nan, np.inf, -np.inf], (6, dim))
         bad[::2, 1:] = rng.random((3, dim - 1))
         coords = rng.permutation(np.vstack([coords, bad]))

@@ -764,6 +764,25 @@ class TestPipeline:
         with pytest.raises(ValueError, match=f"data site {n} duplicates data site 41"):
             fit(nodes, wendland_cfg(s_r=400))
 
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([2, 3]))
+    @settings(max_examples=40, deadline=None)
+    def test_duplicate_check_matches_row_comparison(self, seed, dim):
+        # sites on a coarse lattice share single coordinates often and whole
+        # positions sometimes; the oracle compares whole rows of the sort
+        rng = np.random.default_rng(seed)
+        coords = rng.integers(0, 4, (int(rng.integers(2, 60)), dim)).astype(float)
+        nodes = bp.PointSet(coords, np.zeros(len(coords)))
+        order = np.lexsort(coords.T[::-1])
+        same = np.flatnonzero((coords[order[1:]] == coords[order[:-1]]).all(axis=1))
+        if not len(same):
+            pum_module._check_nodes(nodes)
+            return
+        k = same[np.argmin(order[same + 1])]
+        want = f"data site {order[k + 1]} duplicates data site {order[k]} at {coords[order[k]]}"
+        with pytest.raises(ValueError) as err:
+            pum_module._check_nodes(nodes)
+        assert str(err.value) == want
+
     def test_values_required(self):
         pts = bp.PointSet([[0.1, 0.2], [0.3, 0.4], [0.5, 0.1]])
         with pytest.raises(ValueError):
