@@ -205,40 +205,62 @@ def reduce_to_domain(pts: PointSet, dom: ConvexDomain) -> PointSet:
 _TABLE_CAP = 4096
 
 
-def _add_digits(out, idx, denom, count, base):
-    """Add the ``count`` lowest base-``base`` digits of ``idx`` into ``out``, digit k over ``denom * base**k``."""
-    for _ in range(count):
+def _digit_terms(idx, denom, base):
+    """Yield digit_k / (denom * base**k) of the non-negative integers ``idx``, k = 1, 2, ..., lowest digit first.
+
+    Stops after the highest nonzero digit of any; the denominators are
+    powers of ``base`` made by repeated float products, the same for every
+    caller.
+    """
+    while idx.any():
         denom *= base
         idx, digit = np.divmod(idx, base)
-        out += digit / denom
-    return out
+        yield digit / denom
 
 
 @functools.cache
 def _digit_table(base: int) -> np.ndarray:
     """Radical inverses of 0 .. base**g - 1, summed like ``_radical_inverse``; built once per base."""
-    digits, size = 0, 1
+    size = 1
     while size * base <= _TABLE_CAP:
-        digits, size = digits + 1, size * base
-    table = _add_digits(np.zeros(size), np.arange(size), 1.0, digits, base)
+        size *= base
+    table = np.zeros(size)
+    for term in _digit_terms(np.arange(size), 1.0, base):
+        table += term
     table.setflags(write=False)
     return table
 
 
-def _radical_inverse(indices: np.ndarray, base: int) -> np.ndarray:
-    """Digit-reversed non-negative ``indices`` in ``base``: sum of digit_k / base**k, lowest digit first.
+def _radical_inverse(start: int, n: int, base: int) -> np.ndarray:
+    """Digit-reversed indices ``start`` .. ``start + n - 1`` in ``base``: sum of digit_k / base**k, lowest digit first.
 
-    The low g digits come from ``_digit_table``, whose entries are the same
-    running sums; the higher digits are added in the same order with the same
-    exact denominators, and digits past an index's leading one add 0.0, so
-    the bits do not depend on the table's size.
+    No index is divided. The range splits into runs that share their high
+    part (index // T, T the length of ``_digit_table``): the low g digits
+    of a run are a slice of the table, whose entries are the running sums
+    of those digits, and the high digits' terms are computed once per run,
+    at most n // T + 2 runs, with the same exact denominators. Each run adds
+    its terms lowest digit first, and digits past an index's leading one
+    add 0.0, so every index gets the additions of a digit-by-digit sum and
+    the bits depend neither on the table's size nor on the range. Run
+    bounds stay Python integers, so a range may end at 2**63 - 1.
     """
     table = _digit_table(base)
-    high, low = np.divmod(indices.astype(np.int64), len(table))
-    top, count = int(high.max(initial=0)), 0
-    while top:
-        top, count = top // base, count + 1
-    return _add_digits(table[low], high, float(len(table)), count, base)
+    size = len(table)
+    out = np.empty(n)
+    if not n:
+        return out
+    first = start % size
+    bounds = [0, *range(size - first, n, size), n]
+    high = np.arange(start // size, (start + n - 1) // size + 1, dtype=np.int64)
+    # one row of high-digit terms per run, lowest digit first
+    terms = np.reshape(list(_digit_terms(high, float(size), base)), (-1, len(high))).T.tolist()
+    for lo, hi, run_terms in zip(bounds, bounds[1:], terms):
+        run = out[lo:hi]
+        run[:] = table[first : first + hi - lo]
+        first = 0
+        for term in run_terms:
+            run += term
+    return out
 
 
 def _check_count(name: str, value) -> int:
@@ -255,8 +277,12 @@ def halton(n: int, dim: int, skip: int = 0) -> PointSet:
     Bases (2, 3) for dim=2 and (2, 3, 5) for dim=3. Indexing starts at 1:
     halton(1, 2) is the point of index 1, coordinates (1/2, 1/3). Each
     coordinate is the radical inverse of the index, summed from its lowest
-    digit; the low digits come from a cached table of at most 4096 entries
-    per base, and the bits equal those of the plain digit-by-digit sum.
+    digit, and its bits equal those of the plain digit-by-digit sum. No
+    index is divided: over each run of consecutive indices sharing their
+    high digits, the low digits are a slice of a cached table of at most
+    4096 entries per base, and the high digits' terms are computed once
+    for the run (see ``_radical_inverse``). A point costs a table copy and
+    one addition per high digit of each coordinate.
 
     ``n`` and ``skip`` must be non-negative integers with ``skip + n`` at
     most 2**63 - 1; anything else raises ValueError before any point is made.
@@ -267,9 +293,8 @@ def halton(n: int, dim: int, skip: int = 0) -> PointSet:
         raise ValueError("dim must be 2 or 3")
     if skip + n > np.iinfo(np.int64).max:
         raise ValueError(f"skip + n must be at most 2**63 - 1, got {skip + n}")
-    indices = np.arange(skip + 1, skip + n + 1, dtype=np.int64)
-    cols = [_radical_inverse(indices, b) for b in _HALTON_BASES[:dim]]
-    return PointSet(np.column_stack(cols) if n else np.empty((0, dim)))
+    cols = np.array([_radical_inverse(skip + 1, n, b) for b in _HALTON_BASES[:dim]])
+    return PointSet(cols.T)
 
 
 def grid_on_rect(rect: Rect, count_total: int) -> PointSet:

@@ -12,11 +12,11 @@ table of neighbour runs: centers against the data-site index at fit,
 points against the center index (built once at fit, its run table on the
 first evaluation) whenever the interpolant is evaluated.
 
-The local systems are solved in stacks: subdomains are grouped by member
-count, and each group goes through one batched Cholesky factorization
-and one LAPACK triangular solve per matrix, in chunks of at most
-``BLEND_CHUNK`` matrix entries. Each matrix of a stack is computed as it
-would be alone, so ``local_solve`` on one subdomain reproduces the fitted
+The local kernel matrices are built in stacks: subdomains are grouped by
+member count, in chunks of at most ``BLEND_CHUNK`` matrix entries, and
+each matrix of a stack then gets one LAPACK ``posv`` (Cholesky factor
+and solve in one call). Each matrix of a stack is computed as it would
+be alone, so ``local_solve`` on one subdomain reproduces the fitted
 coefficients bit for bit.
 
 A fitted model keeps its local fits in one place, a member table in
@@ -76,7 +76,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve as lin_solve
-from scipy.linalg.lapack import dpotrs as potrs
+from scipy.linalg.lapack import dposv as posv
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
@@ -118,7 +118,7 @@ FILL_PROBE_CAP = 20000
 BLEND_STEP_ENTRIES = 512
 
 # (point, member) entries per vectorized blend pass, and kernel-matrix
-# entries per batched local solve, bounding the temporaries of either.
+# entries per stack of local systems, bounding the temporaries of either.
 BLEND_CHUNK = 2**16
 
 # The nearest-subdomain fallback trusts the k-d tree's nearest center unless
@@ -148,10 +148,10 @@ class PumConfig:
     Only a default d_r is coarsened when the covering fails; an explicit
     one is used as given.
 
-    ``threads`` has no effect: the local systems are solved in batches on
-    the calling thread, which beat a thread pool over the same solves.
-    It must still be at least 1, and a value above 1 raises a
-    FutureWarning, because the field will be removed.
+    ``threads`` has no effect: the local systems are solved on the calling
+    thread, which beat a thread pool over the same solves. It must still
+    be an integer of at least 1 (not a bool), and a value above 1 raises
+    a FutureWarning, because the field will be removed.
     """
 
     kernel: Kernel
@@ -166,11 +166,11 @@ class PumConfig:
             count = getattr(self, name)
             if count is not None and not is_count(count):
                 raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
+        if not is_count(self.threads):
+            raise ValueError(f"threads must be an integer >= 1, got {self.threads!r}")
         if self.threads > 1:
             warn_at_caller(
-                "PumConfig.threads has no effect (local systems are solved in batches) and will be removed",
+                "PumConfig.threads has no effect (local systems are solved on the calling thread) and will be removed",
                 FutureWarning,
             )
 
@@ -492,9 +492,9 @@ def _cover(nodes: PointSet, dom: ConvexDomain, grid: SubdomainGrid, eval_coords=
 def local_solve(coords: np.ndarray, values: np.ndarray, kernel: Kernel, index: int = 0) -> LocalFit:
     """Solve the dense local kernel system on one subdomain.
 
-    The batched solve of a fit applied to a stack of one: the same
-    coefficients and condition number, bit for bit, as the fit gives
-    this subdomain.
+    The fit's solve applied to a stack of one: the same kernel matrix and
+    the same one ``posv``, so the same coefficients and condition number,
+    bit for bit, as the fit gives this subdomain.
     """
     coords = np.asarray(coords, dtype=float)
     phi = _kernel_stack(coords[None], kernel)
@@ -539,28 +539,27 @@ def _solve_stack(phi, values, index):
 
 
 def _factor_solve(phi, values, index):
-    """Coefficients of a (b, n, n) stack from one batched Cholesky factorization.
+    """Coefficients of a (b, n, n) stack, one LAPACK ``posv`` per matrix.
 
-    The factors are upper ones and each matrix gets one LAPACK ``potrs``,
-    the calls behind scipy's ``cho_factor``/``cho_solve``; the triangular
-    solves cost O(n^2) each, less than the 2n Python steps of a
-    substitution vectorized over the stack. Where the factorization fails
-    anywhere in the stack, each matrix is solved alone, and one that is
-    not positive definite gets a pivoted symmetric solve; one that fails
+    ``posv`` factors a matrix by Cholesky and solves with the factor in one
+    call, the ``potrf`` and ``potrs`` behind scipy's ``cho_factor`` and
+    ``cho_solve``. Each symmetric matrix goes in as its transpose, an
+    F-contiguous view of the same entries, so the wrapper's one copy of it
+    is a plain one, and LAPACK reads its lower triangle. ``phi`` itself is
+    never overwritten: the fallback reads it. A matrix that is not positive
+    definite gets a pivoted symmetric solve, on its own; one that fails
     that too raises SingularLocalSystem with its condition number.
     """
-    try:
-        upper = np.linalg.cholesky(phi, upper=True)
-    except np.linalg.LinAlgError:
-        if len(phi) > 1:
-            one = [slice(i, i + 1) for i in range(len(phi))]
-            return np.concatenate([_factor_solve(phi[i], values[i], index[i]) for i in one])
-        try:
-            return lin_solve(phi[0], values[0], assume_a="sym", check_finite=False)[None]
-        except np.linalg.LinAlgError as exc:
-            cond = _stack_cond(phi)[0]
-            raise SingularLocalSystem(f"subdomain {index[0]}: factorization failed (cond~{cond:.3e})") from exc
-    return np.stack([potrs(u, f, lower=False)[0] for u, f in zip(upper, values)])
+    coef = np.empty(values.shape)
+    for i, (a, f) in enumerate(zip(phi, values)):
+        _, coef[i], info = posv(a.T, f, lower=False)
+        if info:
+            try:
+                coef[i] = lin_solve(a, f, assume_a="sym", check_finite=False)
+            except np.linalg.LinAlgError as exc:
+                cond = _stack_cond(a[None])[0]
+                raise SingularLocalSystem(f"subdomain {index[i]}: factorization failed (cond~{cond:.3e})") from exc
+    return coef
 
 
 def _size_stacks(ptr):
@@ -771,6 +770,11 @@ def _check_nodes(nodes: PointSet) -> None:
     if nodes.values is None:
         raise ValueError("nodes must carry values")
     coords = nodes.coords
+    # a duplicate needs a tie in the first coordinate, which one plain sort
+    # of that column rules out in almost every set
+    first = np.sort(coords[:, 0])
+    if not (first[1:] == first[:-1]).any():
+        return
     order = np.lexsort(coords.T[::-1])
     ranked = coords.take(order, axis=0)
     # neighbours in the sort compared a column at a time: a reduction over

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 from scipy.spatial.distance import cdist
 
 import blockpum as bp
@@ -193,36 +192,57 @@ def digit_loop_radical_inverse(indices, base):
     return out
 
 
-def power_boundaries(base):
-    """Indices one below, at and one above every power of ``base`` up to 2**62.
+def range_oracle(start, n, base):
+    """The digit loop over the indices start .. start + n - 1."""
+    return digit_loop_radical_inverse(start + np.arange(n, dtype=np.int64), base)
 
-    These cross every digit count and so every multiple of a table size.
-    """
-    powers = [base**k for k in range(1, 63) if base**k <= 2**62]
-    return np.array([p + d for p in powers for d in (-1, 0, 1)], dtype=np.int64)
+
+LAST = 2**63 - 1
+
+# range lengths as (multiple of the table length T, offset): 0, 1, T - 1, T, T + 1, 3T
+LENGTHS = [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (3, 0)]
 
 
 class TestRadicalInverse:
     @given(
-        st.sampled_from(geometry._HALTON_BASES),
-        hnp.arrays(np.int64, st.integers(0, 300), elements=st.integers(0, 2**62)),
+        st.sampled_from(geometry._HALTON_BASES + (7, 4099)),
+        st.integers(0, LAST),
+        st.integers(0, 3 * geometry._TABLE_CAP + 1),
     )
-    @example(2, power_boundaries(2))
-    @example(3, power_boundaries(3))
-    @example(5, power_boundaries(5))
-    @example(3, np.arange(1_000_001, 1_005_001))
-    @example(7, power_boundaries(7))  # any base works, not only the Halton ones
-    @example(4099, power_boundaries(4099))  # a base past the table cap: no table digits
+    @example(3, 1_000_001, 5000)
+    @example(2, LAST, 1)
+    @example(5, LAST - 3 * 3125, 3 * 3125 + 1)
+    @example(4099, 4099**5 - 2, 4)  # a base past the table cap: no table digits
     @settings(max_examples=200, deadline=None)
-    def test_matches_digit_loop(self, base, indices):
-        got = geometry._radical_inverse(indices, base)
-        assert np.array_equal(got, digit_loop_radical_inverse(indices, base))
+    def test_matches_digit_loop(self, base, start, n):
+        start = min(start, LAST + 1 - n)
+        assert np.array_equal(geometry._radical_inverse(start, n, base), range_oracle(start, n, base))
+
+    @pytest.mark.parametrize("base", geometry._HALTON_BASES + (7,))
+    def test_ranges_across_powers(self, base):
+        # every power of the base is a table multiple past the table length,
+        # so these ranges cross both a digit count and a run boundary
+        size = len(geometry._digit_table(base))
+        for p in (base**k for k in range(1, 63) if base**k <= 2**62):
+            for start, n in ((p - 2, 4), (p - size // 2, size), (p - 1, 1), (p, 1)):
+                start = max(start, 0)
+                got = geometry._radical_inverse(start, n, base)
+                assert np.array_equal(got, range_oracle(start, n, base)), (p, start, n)
+
+    @pytest.mark.parametrize("base", geometry._HALTON_BASES)
+    @pytest.mark.parametrize("tables, extra", LENGTHS, ids=["0", "1", "T-1", "T", "T+1", "3T"])
+    def test_lengths_around_the_table(self, base, tables, extra):
+        size = len(geometry._digit_table(base))
+        n = tables * size + extra
+        for start in (0, 1, size - 1, size, size + 1, 5 * size - n // 2, 2**40 + 7, LAST + 1 - max(n, 1)):
+            got = geometry._radical_inverse(start, n, base)
+            assert got.shape == (n,)
+            assert np.array_equal(got, range_oracle(start, n, base)), start
 
     @pytest.mark.parametrize("base", geometry._HALTON_BASES)
     def test_int64_extremes(self, base):
-        indices = np.array([0, 1, 2**62, 2**63 - 1, 0, 2**63 - 1], dtype=np.int64)
-        got = geometry._radical_inverse(indices, base)
-        assert np.array_equal(got, digit_loop_radical_inverse(indices, base))
+        for start, n in ((0, 3), (2**62 - 1, 3), (LAST, 1), (LAST - 9000, 9001)):
+            assert np.array_equal(geometry._radical_inverse(start, n, base), range_oracle(start, n, base))
 
     @pytest.mark.parametrize("base, size", [(2, 4096), (3, 2187), (5, 3125), (4099, 1)])
     def test_table_capped_and_read_only(self, base, size):
@@ -230,6 +250,16 @@ class TestRadicalInverse:
         assert len(table) == size <= geometry._TABLE_CAP
         assert not table.flags.writeable
         assert np.array_equal(table, digit_loop_radical_inverse(np.arange(len(table)), base))
+
+    @pytest.mark.parametrize("n, skip, dim", [(16641, 500, 2), (10**5, 2**40, 3), (1, LAST - 1, 3), (5, 4093, 2)])
+    def test_divides_once_per_run(self, n, skip, dim):
+        # no index is divided: every divmod sees one high part per run of
+        # table-length indices, at most ceil(n / T) + 2 values
+        sizes = [len(geometry._digit_table(b)) for b in geometry._HALTON_BASES[:dim]]
+        with mock.patch.object(geometry.np, "divmod", wraps=np.divmod) as divmod:
+            bp.halton(n, dim, skip)
+        assert divmod.called
+        assert max(np.size(c.args[0]) for c in divmod.call_args_list) <= -(-n // min(sizes)) + 2
 
 
 class TestHalton:
@@ -266,6 +296,14 @@ class TestHalton:
         pts = bp.halton(1, 2, skip=2**63 - 2)
         want = [digit_loop_radical_inverse(np.array([2**63 - 1]), b)[0] for b in (2, 3)]
         assert np.array_equal(pts.coords[0], want)
+
+    @given(st.integers(0, 3 * geometry._TABLE_CAP), st.integers(0, 2**40), st.sampled_from([2, 3]))
+    @settings(max_examples=30, deadline=None)
+    def test_columns_match_digit_loop(self, n, skip, dim):
+        pts = bp.halton(n, dim, skip)
+        assert pts.coords.shape == (n, dim) and pts.coords.flags.c_contiguous
+        for m, base in enumerate(geometry._HALTON_BASES[:dim]):
+            assert np.array_equal(pts.coords[:, m], range_oracle(skip + 1, n, base))
 
     @pytest.mark.parametrize(
         "n, skip, match",

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg import solve as lin_solve
+from scipy.linalg.lapack import dpotrs
 from scipy.spatial.distance import cdist
 
 import blockpum as bp
@@ -221,15 +222,18 @@ class TestBuildCovering:
 
     def test_fit_sorts_only_to_find_duplicate_sites(self, pentagon_run):
         # the members keep the join's order, so a fit's one sort is the
-        # duplicate-site check's lexsort
+        # duplicate-site check's sort of the first coordinate; with no tie
+        # there, it needs no lexsort
         nodes, _ = pentagon_run
         with (
+            mock.patch.object(pum_module.np, "sort", wraps=np.sort) as sort,
             mock.patch.object(pum_module.np, "lexsort", wraps=np.lexsort) as lexsort,
             mock.patch.object(pum_module.np, "argsort", wraps=np.argsort) as argsort,
         ):
             bp.fit_model(nodes, wendland_cfg())
-        assert lexsort.call_count == 1
-        assert not argsort.called
+        assert sort.call_count == 1
+        assert sort.call_args.args[0].shape == (len(nodes),)
+        assert not lexsort.called and not argsort.called
 
     def test_membership_peak_is_a_few_integers_per_hit(self):
         # each pass of the join leaves only its indices and counts, so the
@@ -389,6 +393,20 @@ def reference_local_solve(coords, values, kernel, index=0):
     return coef, max(cond, 1.0), phi
 
 
+def cholesky_potrs_solve(phi, values):
+    """Oracle: the stack solve before one posv per matrix, a batched numpy
+    Cholesky and one LAPACK potrs per matrix; where the stack's Cholesky
+    fails, each matrix is solved alone, with the pivoted symmetric solve
+    for one that is not positive definite."""
+    try:
+        upper = np.linalg.cholesky(phi, upper=True)
+    except np.linalg.LinAlgError:
+        if len(phi) > 1:
+            return np.concatenate([cholesky_potrs_solve(phi[i : i + 1], values[i : i + 1]) for i in range(len(phi))])
+        return lin_solve(phi[0], values[0], assume_a="sym", check_finite=False)[None]
+    return np.stack([dpotrs(u, f, lower=False)[0] for u, f in zip(upper, values)])
+
+
 def csr(node_lists):
     """(ptr, members) of a list of member arrays, as _fit_subdomains takes them."""
     ptr = np.concatenate(([0], np.cumsum([len(members) for members in node_lists])))
@@ -450,8 +468,13 @@ class TestBatchedSolve:
         kernel = bp.make_kernel(kernel_name, 0.2 if ill else 3.0)
         # each size taken one to three times, so stacks hold several matrices
         node_lists = [rng.choice(len(sites), n, replace=False) for n in sizes for _ in range(rng.integers(1, 4))]
-        table = _fit_subdomains(nodes, *csr(node_lists), kernel)
+        ptr, members = csr(node_lists)
+        table = _fit_subdomains(nodes, ptr, members, kernel)
         assert_matches_reference(nodes, node_lists, table, kernel)
+        # bit for bit the route that one posv per matrix replaced
+        for subs, rows in _size_stacks(ptr):
+            want = cholesky_potrs_solve(_kernel_stack(nodes.coords[members[rows]], kernel), nodes.values[members[rows]])
+            assert np.array_equal(table.coefficients[rows], want), subs
 
     def test_cholesky_failure_falls_back_per_matrix(self):
         # phi(r) = 1 - r^2 gives a positive-definite matrix for two sites
@@ -463,6 +486,9 @@ class TestBatchedSolve:
         node_lists = [np.array(m) for m in ([0, 1], [0, 4], [2, 3])]
         table = _fit_subdomains(nodes, *csr(node_lists), profile)
         assert_matches_reference(nodes, node_lists, table, profile)
+        rows = np.array(node_lists)
+        want = cholesky_potrs_solve(_kernel_stack(sites[rows], profile), nodes.values[rows])
+        assert np.array_equal(table.coefficients, want.ravel())
         for j, members in enumerate(node_lists):
             fit = bp.local_solve(sites[members], nodes.values[members], profile, j)
             assert np.array_equal(fit.coefficients, table.coefficients[2 * j : 2 * j + 2])
@@ -1214,6 +1240,12 @@ class TestPredictInput:
 @pytest.mark.parametrize("threads", [0, -2])
 def test_config_rejects_nonpositive_threads(threads):
     with pytest.raises(ValueError):
+        wendland_cfg(threads=threads)
+
+
+@pytest.mark.parametrize("threads", [True, 1.5, 2.0, "2", None], ids=["True", "1.5", "2.0", "str", "None"])
+def test_config_rejects_threads_that_are_not_counts(threads):
+    with pytest.raises(ValueError, match="threads must be an integer >= 1"):
         wendland_cfg(threads=threads)
 
 
