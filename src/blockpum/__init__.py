@@ -3,17 +3,11 @@
 from .blockpart import (
     BlockStructure,
     JoinPairs,
-    Neighborhood,
     RangeResult,
-    block_index,
     blocks_per_side,
     brute_force_range_search,
     build,
-    containing_query,
     join_pairs,
-    neighborhood_of,
-    range_search,
-    strip_index,
 )
 from .errors import (
     BlockPumError,
@@ -43,7 +37,6 @@ from .geometry import (
 )
 from .kernels import (
     Kernel,
-    dense_distance_matrix,
     make_kernel,
     phi_wendland_c2,
     phi_wu_c4,

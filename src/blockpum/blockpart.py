@@ -3,16 +3,19 @@
 The bounding box is cut into q^M equal blocks (q per side). Every stored
 point lands in exactly one block, so a fixed-radius query with radius at
 most one block width only ever has to look at the query's block and its
-<= 3^M - 1 existing neighbors. Block indices are 1-based and follow the
-strip numbering k = sum_m (k_m - 1) q^(M-m) + k_M.
+<= 3^M - 1 existing neighbors. A coordinate x lies in the 0-based strip
+floor((x - lo) / width) of its axis, clamped to [0, q-1], and a point's
+0-based block code combines its strips k_1..k_M by Horner's rule,
+sum_m k_m q^(M-m). ``tests/oracles.py`` holds the paper's per-point
+routines for the same numbering (1-based strips and blocks), which serve
+as the reference for ``build``, ``_block_codes`` and ``neighbor_runs``.
 
 ``join_pairs`` is the one block search: it answers a batch of queries
 in one vectorized pass per JOIN_CHUNK queries and returns the hits as
 (row, index, distance) triples, grouped by ascending query row and,
 within a row, in the order the block runs hold them, not by distance.
 ``join_chunks`` hands out the same hits chunk by chunk, for callers that
-keep only part of each. ``range_search`` is the one-row case, ordered by
-(distance, index). A block's 3^M neighbours form 3^(M-1) runs of
+keep only part of each. A block's 3^M neighbours form 3^(M-1) runs of
 ``sorted_idx``, because the blocks k-1, k, k+1 along the last axis hold
 consecutive buckets; a per-block table of these runs, built on the first
 search and kept with the structure, costs 2 * 3^(M-1) integers per block
@@ -26,10 +29,6 @@ are added column by column, in order. Each row holds exactly the points
 Every search needs radius <= block width unless the grid has a single
 block (q = 1), or some points in range would lie outside the 3^M
 neighbourhood; a wider radius raises ValueError.
-
-``containing_query``, ``neighborhood_of``, ``strip_index`` and
-``block_index`` are the paper's per-point routines; the join does not
-call them, and they serve as its reference.
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ JOIN_CHUNK = 2048
 
 
 class RangeResult(NamedTuple):
-    """Result of a fixed-radius search: matches sorted by (distance, index)."""
+    """Result of ``brute_force_range_search``: matches sorted by (distance, index)."""
 
     indices: np.ndarray
     distances: np.ndarray
@@ -83,12 +82,6 @@ class JoinPairs(NamedTuple):
 
 
 @dataclass(frozen=True)
-class Neighborhood:
-    center_block: int
-    block_ids: np.ndarray  # center plus existing lattice neighbors, ascending
-
-
-@dataclass(frozen=True)
 class BlockStructure:
     """Static bucket grid over the bounding box of an indexed point set."""
 
@@ -99,17 +92,6 @@ class BlockStructure:
     points: np.ndarray = field(repr=False)
     sorted_idx: np.ndarray = field(repr=False)  # point indices grouped by block
     starts: np.ndarray = field(repr=False)  # bucket k is sorted_idx[starts[k-1]:starts[k]]
-
-    @property
-    def n_blocks(self) -> int:
-        return self.q**self.dim
-
-    def bucket(self, k: int) -> np.ndarray:
-        """Point indices stored in block k (ascending)."""
-        return self.sorted_idx[self.starts[k - 1] : self.starts[k]]
-
-    def bucket_sizes(self) -> np.ndarray:
-        return np.diff(self.starts)
 
     @functools.cached_property
     def neighbor_runs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -138,33 +120,15 @@ class BlockStructure:
         return np.where(valid, first, 0), np.where(valid, size, 0)
 
 
-def strip_index(coord: float, axis_min: float, width: float, q: int) -> int:
-    """1-based strip index of a coordinate; the far boundary clamps to strip q."""
-    if width <= 0:
-        raise ValueError("width must be positive")
-    k = int(np.floor((coord - axis_min) / width)) + 1
-    return min(max(k, 1), q)
-
-
-def block_index(strips, q: int) -> int:
-    """Block index from per-axis strip indices: k = sum (k_m-1) q^(M-m) + k_M."""
-    strips = tuple(int(s) for s in strips)
-    if any(s < 1 or s > q for s in strips):
-        raise ValueError(f"strip indices must lie in [1, {q}]")
-    k = 0
-    for s in strips[:-1]:
-        k = (k + (s - 1)) * q
-    return k + strips[-1]
-
-
 def _block_codes(coords: np.ndarray, box: Box, width: float, q: int) -> np.ndarray:
-    """0-based block codes of the rows of ``coords``: ``block_index`` - 1 of their strips.
+    """0-based block codes of the rows of ``coords``.
 
     The one block-code rule of ``build`` and the join. Each coordinate is
-    scaled to strip units and clipped to [0, q-1] before truncating, which
-    is the strip of ``strip_index`` for any point in the box and the
-    nearest strip for one outside it (infinities included); the strips
-    are then combined by Horner's rule.
+    scaled to strip units, (x - lo) / width, and clipped to [0, q-1]
+    before truncating, which gives its strip for any point in the box and
+    the nearest strip for one outside it (infinities included); the
+    strips k_1..k_M are then combined by Horner's rule into
+    sum_m k_m q^(M-m).
     """
     scaled = coords - box.lo
     scaled /= width
@@ -216,49 +180,6 @@ def build(pts: PointSet, box: Box, q: int) -> BlockStructure:
         sorted_idx=keys,
         starts=np.concatenate(([0], np.cumsum(counts))),
     )
-
-
-def containing_query(bs: BlockStructure, p) -> int:
-    """Block index of the block containing ``p``."""
-    p = np.asarray(p, dtype=float)
-    tol = BOX_TOL_REL * bs.box.edge
-    if p.min() < bs.box.lo - tol or p.max() > bs.box.hi + tol:
-        raise PointOutsideBox(f"point {p} outside box [{bs.box.lo}, {bs.box.hi}]^{bs.dim}")
-    strips = [strip_index(c, bs.box.lo, bs.width, bs.q) for c in p]
-    return block_index(strips, bs.q)
-
-
-def neighborhood_of(bs: BlockStructure, k: int) -> Neighborhood:
-    """Block k plus all its existing lattice neighbors (offsets in {-1,0,+1})."""
-    if not 1 <= k <= bs.n_blocks:
-        raise ValueError(f"block index {k} out of range [1, {bs.n_blocks}]")
-    strips = _decompose(k, bs.q, bs.dim)
-    ranges = [range(max(1, s - 1), min(bs.q, s + 1) + 1) for s in strips]
-    ids = sorted(block_index(combo, bs.q) for combo in itertools.product(*ranges))
-    return Neighborhood(center_block=k, block_ids=np.array(ids, dtype=np.int64))
-
-
-def _decompose(k: int, q: int, dim: int):
-    rem = k - 1
-    strips = []
-    for m in range(dim - 1, -1, -1):
-        strips.append(rem // q**m + 1)
-        rem %= q**m
-    return strips
-
-
-def range_search(bs: BlockStructure, center, radius: float) -> RangeResult:
-    """All stored points within ``radius`` of ``center``: ``join_pairs`` on one row.
-
-    Results are sorted ascending by distance, ties broken by ascending point
-    index, as ``brute_force_range_search`` orders them. A center outside the
-    box is clamped for the block lookup only (projection onto the box never
-    moves the center farther from any stored point), distances are true.
-    Raises ValueError as ``join_pairs`` does.
-    """
-    _, indices, distances, candidates = join_pairs(bs, np.asarray(center, dtype=float)[None], radius)
-    order = np.lexsort((indices, distances))
-    return RangeResult(indices[order], distances[order], candidates)
 
 
 def join_pairs(bs: BlockStructure, queries, radius: float) -> JoinPairs:
@@ -353,7 +274,7 @@ def row_norms(delta: np.ndarray) -> np.ndarray:
 
 
 def brute_force_range_search(points: np.ndarray, center, radius: float) -> RangeResult:
-    """Reference fixed-radius search scanning all points with ``cdist``; same order contract."""
+    """Reference fixed-radius search scanning all points with ``cdist``, sorted by (distance, index)."""
     points = np.asarray(points, dtype=float)
     dist = cdist(np.asarray(center, dtype=float)[None], points)[0]
     idx = np.flatnonzero(dist <= radius)

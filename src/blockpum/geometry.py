@@ -199,6 +199,32 @@ def reduce_to_domain(pts: PointSet, dom: ConvexDomain) -> PointSet:
     return PointSet(pts.coords[mask], values)
 
 
+def first_duplicate(coords: np.ndarray) -> tuple[int, int] | None:
+    """The first repeated row of an (n, M) array as (earlier row, repeat), or None.
+
+    The repeat is the lowest-numbered row equal to an earlier one, and the
+    earlier row is that row's first occurrence.
+    """
+    # a duplicate needs a tie in the first coordinate, which one plain sort
+    # of that column rules out in almost every set
+    first = np.sort(coords[:, 0])
+    if not (first[1:] == first[:-1]).any():
+        return None
+    order = np.lexsort(coords.T[::-1])
+    ranked = coords.take(order, axis=0)
+    # neighbours in the sort compared a column at a time: a reduction over
+    # 2- or 3-wide rows costs more than the comparisons themselves
+    same = ranked[1:, 0] == ranked[:-1, 0]
+    for k in range(1, coords.shape[1]):
+        same &= ranked[1:, k] == ranked[:-1, k]
+    same = same.nonzero()[0]
+    if not len(same):
+        return None
+    # the sort is stable, so the later row of each equal pair is order[same + 1]
+    k = same[np.argmin(order[same + 1])]
+    return int(order[k]), int(order[k + 1])
+
+
 # Low digits of a radical inverse read from one table per base of base**g
 # entries, g the most digits with base**g <= _TABLE_CAP, so each table stays
 # in cache.

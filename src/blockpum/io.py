@@ -13,7 +13,7 @@ import json
 
 import numpy as np
 
-from .geometry import PointSet
+from .geometry import PointSet, first_duplicate
 from .reconstruct import OrientedCloud, ReconstructionResult, default_step
 
 _FLOAT_FMT = "%.17g"
@@ -65,8 +65,9 @@ def load_points(path, dim: int | None = None) -> PointSet:
         coords, values = rows[:, :dim], rows[:, dim]
     else:
         raise ValueError(f"{path}: {ncol} columns do not fit dim={dim}")
-    if len(np.unique(coords, axis=0)) != len(coords):
-        raise ValueError(f"{path}: points must be pairwise distinct")
+    pair = first_duplicate(coords)
+    if pair is not None:
+        raise ValueError(f"{path}: point row {pair[1]} duplicates row {pair[0]} at {coords[pair[0]]}")
     return PointSet(coords, values)
 
 

@@ -1,4 +1,4 @@
-"""Compactly supported radial kernels and dense kernel-distance matrices.
+"""Compactly supported radial kernels.
 
 Both shipped kernels vanish identically for r >= 1/epsilon.
 
@@ -16,9 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
-
-from .geometry import PointSet
 
 
 def _scaled(r, epsilon: float):
@@ -88,10 +85,3 @@ class Kernel:
 def make_kernel(name: str, epsilon: float) -> Kernel:
     """Kernel factory; accepts dash or underscore spellings."""
     return Kernel(name.replace("_", "-"), float(epsilon))
-
-
-def dense_distance_matrix(a: PointSet, b: PointSet, kernel: Kernel) -> np.ndarray:
-    """Full |A| x |B| matrix of phi(||a_i - b_j||)."""
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch")
-    return kernel(cdist(a.coords, b.coords))

@@ -95,6 +95,7 @@ from .geometry import (
     PointSet,
     convex_hull,
     fill_distance,
+    first_duplicate,
     grid_on_rect,
     membership_mask,
     reduce_to_domain,
@@ -769,26 +770,9 @@ def _check_nodes(nodes: PointSet) -> None:
     """Reject sites without values or sharing a position; either would make a local system singular."""
     if nodes.values is None:
         raise ValueError("nodes must carry values")
-    coords = nodes.coords
-    # a duplicate needs a tie in the first coordinate, which one plain sort
-    # of that column rules out in almost every set
-    first = np.sort(coords[:, 0])
-    if not (first[1:] == first[:-1]).any():
-        return
-    order = np.lexsort(coords.T[::-1])
-    ranked = coords.take(order, axis=0)
-    # neighbours in the sort compared a column at a time: a reduction over
-    # 2- or 3-wide rows costs more than the comparisons themselves
-    same = ranked[1:, 0] == ranked[:-1, 0]
-    for k in range(1, coords.shape[1]):
-        same &= ranked[1:, k] == ranked[:-1, k]
-    same = same.nonzero()[0]
-    if len(same):
-        # the sort is stable, so the later site of each equal pair is order[same + 1]
-        k = same[np.argmin(order[same + 1])]
-        raise ValueError(
-            f"data site {order[k + 1]} duplicates data site {order[k]} at {coords[order[k]]}"
-        )
+    pair = first_duplicate(nodes.coords)
+    if pair is not None:
+        raise ValueError(f"data site {pair[1]} duplicates data site {pair[0]} at {nodes.coords[pair[0]]}")
 
 
 def _fit(nodes: PointSet, cfg: PumConfig, eval_points=None, with_eval: bool = False):

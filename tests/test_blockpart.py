@@ -11,19 +11,29 @@ from blockpum import blockpart
 from blockpum.blockpart import _block_codes
 from blockpum.errors import PointOutsideBox
 
+from oracles import block_index, bucket, bucket_sizes, containing_query, neighborhood_of, strip_index
+
 
 def reference_build_buckets(coords, box, q):
     """Sort-based reference: order points lexicographically by the strip
     indices of the paper's per-point routines, then segment runs; mirrors a
     recursive per-coordinate sort."""
     width = box.edge / q
-    strips = np.array([[bp.strip_index(c, box.lo, width, q) for c in p] for p in coords], dtype=np.int64)
+    strips = np.array([[strip_index(c, box.lo, width, q) for c in p] for p in coords], dtype=np.int64)
     order = np.lexsort(tuple(strips[:, m] for m in range(strips.shape[1] - 1, -1, -1)))
-    codes = [bp.block_index(s, q) for s in strips]
+    codes = [block_index(s, q) for s in strips]
     buckets = {}
     for i in order:
         buckets.setdefault(int(codes[i]), []).append(int(i))
     return {k: sorted(v) for k, v in buckets.items()}
+
+
+def search_one(bs, center, radius):
+    """``join_pairs`` on one query, its hits put in (distance, index) order
+    as ``brute_force_range_search`` orders them."""
+    found = bp.join_pairs(bs, np.asarray(center, dtype=float)[None], radius)
+    order = np.lexsort((found.indices, found.distances))
+    return bp.RangeResult(found.indices[order], found.distances[order], found.candidates)
 
 
 def row_bounds(rows, n_queries):
@@ -46,57 +56,57 @@ def assert_rows_match_brute_force(bs, pts, queries, radius, found):
         order = np.lexsort((indices, distances))
         assert np.array_equal(indices[order], want.indices)
         assert np.array_equal(distances[order], want.distances)
-        block = bp.containing_query(bs, np.clip(center, bs.box.lo, bs.box.hi))
-        candidates += sum(len(bs.bucket(j)) for j in bp.neighborhood_of(bs, block).block_ids)
+        block = containing_query(bs, np.clip(center, bs.box.lo, bs.box.hi))
+        candidates += sum(len(bucket(bs, j)) for j in neighborhood_of(bs, block).block_ids)
     assert found.candidates == candidates
 
 
 class TestStripIndex:
     def test_first_strip(self):
-        assert bp.strip_index(0.0, 0.0, 0.2, 5) == 1
+        assert strip_index(0.0, 0.0, 0.2, 5) == 1
 
     def test_far_boundary_clamps(self):
-        assert bp.strip_index(1.0, 0.0, 0.2, 5) == 5
+        assert strip_index(1.0, 0.0, 0.2, 5) == 5
 
     def test_interior(self):
         # floor(0.41/0.2) + 1 = floor(2.05) + 1 = 3
-        assert bp.strip_index(0.41, 0.0, 0.2, 5) == 3
+        assert strip_index(0.41, 0.0, 0.2, 5) == 3
 
 
 class TestBlockIndex:
     @pytest.mark.parametrize("q", [5, 7, 12])
     def test_2d_formula(self, q):
-        assert bp.block_index((5, 3), q) == 4 * q + 3
+        assert block_index((5, 3), q) == 4 * q + 3
 
     def test_all_ones(self):
-        assert bp.block_index((1, 1, 1), 9) == 1
+        assert block_index((1, 1, 1), 9) == 1
 
     def test_3d(self):
         # (2-1)*16 + (1-1)*4 + 1
-        assert bp.block_index((2, 1, 1), 4) == 17
+        assert block_index((2, 1, 1), 4) == 17
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            bp.block_index((0, 1), 4)
+            block_index((0, 1), 4)
 
 
 class TestBuild:
     def test_single_point_single_block(self):
         pts = bp.PointSet([[0.3, 0.7]])
         bs = bp.build(pts, bp.Box(0.0, 1.0, 2), q=1)
-        assert list(bs.bucket(1)) == [0]
+        assert list(bucket(bs, 1)) == [0]
 
     def test_four_corners_q2(self):
         pts = bp.PointSet([[0, 0], [0, 1], [1, 0], [1, 1]])
         bs = bp.build(pts, bp.Box(0.0, 1.0, 2), q=2)
         # corners clamp to strips (1,1),(1,2),(2,1),(2,2) -> blocks 1..4
         for k, i in [(1, 0), (2, 1), (3, 2), (4, 3)]:
-            assert list(bs.bucket(k)) == [i]
+            assert list(bucket(bs, k)) == [i]
 
     def test_partition_of_10k_halton(self):
         pts = bp.halton(10000, 2)
         bs = bp.build(pts, bp.Box(0.0, 1.0, 2), q=12)
-        assert bs.bucket_sizes().sum() == 10000
+        assert bucket_sizes(bs).sum() == 10000
 
     def test_outside_box_raises(self):
         with pytest.raises(PointOutsideBox):
@@ -108,13 +118,13 @@ class TestBuild:
         rng = np.random.default_rng(seed)
         pts = bp.PointSet(rng.random((rng.integers(1, 150), dim)))
         bs = bp.build(pts, bp.Box(0.0, 1.0, dim), q=q)
-        seen = np.concatenate([bs.bucket(k) for k in range(1, q**dim + 1)])
+        seen = np.concatenate([bucket(bs, k) for k in range(1, q**dim + 1)])
         assert sorted(seen) == list(range(len(pts)))
         for k in range(1, q**dim + 1):
-            members = bs.bucket(k)
+            members = bucket(bs, k)
             assert list(members) == sorted(members)
             for i in members:
-                assert bp.containing_query(bs, pts.coords[i]) == k
+                assert containing_query(bs, pts.coords[i]) == k
 
     @given(st.integers(0, 2**31 - 1), st.integers(1, 9), st.sampled_from([2, 3]))
     @settings(max_examples=30, deadline=None)
@@ -125,7 +135,7 @@ class TestBuild:
         bs = bp.build(pts, box, q=q)
         ref = reference_build_buckets(pts.coords, box, q)
         for k in range(1, q**dim + 1):
-            assert list(bs.bucket(k)) == ref.get(k, [])
+            assert list(bucket(bs, k)) == ref.get(k, [])
 
     def test_codes_computed_in_several_passes(self, rng, monkeypatch):
         monkeypatch.setattr(blockpart, "BUILD_CHUNK", 7)
@@ -134,7 +144,7 @@ class TestBuild:
         bs = bp.build(pts, box, q=4)
         ref = reference_build_buckets(pts.coords, box, 4)
         for k in range(1, 4**3 + 1):
-            assert list(bs.bucket(k)) == ref.get(k, [])
+            assert list(bucket(bs, k)) == ref.get(k, [])
 
 
 class TestBlockCodes:
@@ -152,9 +162,9 @@ class TestBlockCodes:
         inside = np.vstack([rng.uniform(box.lo, box.hi, (40, dim)), on_lines])
         outside = rng.uniform(box.lo - 3.0, box.hi + 3.0, (60, dim))
         codes = _block_codes(np.vstack([inside, outside]), box, width, q)
-        want = [bp.containing_query(bs, p) - 1 for p in inside]
+        want = [containing_query(bs, p) - 1 for p in inside]
         # outside the box, the code is that of the nearest point of the box
-        want += [bp.containing_query(bs, np.clip(p, box.lo, box.hi)) - 1 for p in outside]
+        want += [containing_query(bs, np.clip(p, box.lo, box.hi)) - 1 for p in outside]
         assert np.array_equal(codes, want)
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -165,12 +175,12 @@ class TestBlockCodes:
         queries = np.where(rng.random((12, dim)) < 0.5, -np.inf, np.inf)
         queries[:4, 1:] = rng.random((4, dim - 1))
         codes = _block_codes(queries, bs.box, bs.width, bs.q)
-        want = [bp.containing_query(bs, np.clip(p, 0.0, 1.0)) - 1 for p in queries]
+        want = [containing_query(bs, np.clip(p, 0.0, 1.0)) - 1 for p in queries]
         assert np.array_equal(codes, want)
         found = bp.join_pairs(bs, queries, bs.width)
         assert len(found.rows) == 0
         assert found.candidates == sum(
-            len(bs.bucket(j)) for k in codes for j in bp.neighborhood_of(bs, k + 1).block_ids
+            len(bucket(bs, j)) for k in codes for j in neighborhood_of(bs, k + 1).block_ids
         )
 
 
@@ -178,31 +188,31 @@ class TestContainingQuery:
     def test_examples(self):
         pts = bp.PointSet(np.random.default_rng(1).random((20, 2)))
         bs = bp.build(pts, bp.Box(0.0, 1.0, 2), q=5)
-        assert bp.containing_query(bs, (0.0, 0.41)) == bp.block_index((1, 3), 5)
-        assert bp.containing_query(bs, (1.0, 1.0)) == bp.block_index((5, 5), 5)
+        assert containing_query(bs, (0.0, 0.41)) == block_index((1, 3), 5)
+        assert containing_query(bs, (1.0, 1.0)) == block_index((5, 5), 5)
 
     def test_outside_raises(self):
         pts = bp.PointSet([[0.5, 0.5]])
         bs = bp.build(pts, bp.Box(0.0, 1.0, 2), q=2)
         with pytest.raises(PointOutsideBox):
-            bp.containing_query(bs, (2.0, 0.5))
+            containing_query(bs, (2.0, 0.5))
 
 
 class TestNeighborhood:
     def test_single_block(self):
         pts = bp.PointSet([[0.5, 0.5]])
         bs = bp.build(pts, bp.Box(0.0, 1.0, 2), q=1)
-        assert list(bp.neighborhood_of(bs, 1).block_ids) == [1]
+        assert list(neighborhood_of(bs, 1).block_ids) == [1]
 
     def test_corner_q5(self):
         pts = bp.PointSet([[0.5, 0.5]])
         bs = bp.build(pts, bp.Box(0.0, 1.0, 2), q=5)
-        assert list(bp.neighborhood_of(bs, 1).block_ids) == [1, 2, 6, 7]
+        assert list(neighborhood_of(bs, 1).block_ids) == [1, 2, 6, 7]
 
     def test_interior_q5(self):
         pts = bp.PointSet([[0.5, 0.5]])
         bs = bp.build(pts, bp.Box(0.0, 1.0, 2), q=5)
-        ids = bp.neighborhood_of(bs, 13).block_ids
+        ids = neighborhood_of(bs, 13).block_ids
         assert len(ids) == 9
         assert set(ids) == {7, 8, 9, 12, 13, 14, 17, 18, 19}
 
@@ -212,7 +222,7 @@ class TestNeighborhood:
         pts = bp.PointSet(np.full((1, dim), 0.5))
         bs = bp.build(pts, bp.Box(0.0, 1.0, dim), q=q)
         k = pick % q**dim + 1
-        ids = bp.neighborhood_of(bs, k).block_ids
+        ids = neighborhood_of(bs, k).block_ids
         assert len(ids) == len(set(ids.tolist()))
         assert 1 <= len(ids) <= 3**dim
         assert all(1 <= b <= q**dim for b in ids)
@@ -222,20 +232,20 @@ class TestRangeSearch:
     def test_empty_result(self):
         pts = bp.PointSet([[0.1, 0.1]])
         bs = bp.build(pts, bp.Box(0.0, 1.0, 2), q=2)
-        found = bp.range_search(bs, (0.9, 0.9), 0.05)
+        found = search_one(bs, (0.9, 0.9), 0.05)
         assert len(found.indices) == 0
 
     def test_zero_radius_hits_stored_point(self):
         pts = bp.PointSet([[0.25, 0.75], [0.5, 0.5]])
         bs = bp.build(pts, bp.Box(0.0, 1.0, 2), q=3)
-        found = bp.range_search(bs, (0.25, 0.75), 0.0)
+        found = search_one(bs, (0.25, 0.75), 0.0)
         assert list(found.indices) == [0]
         assert found.distances[0] == 0.0
 
     def test_halton_200_matches_bruteforce(self):
         pts = bp.halton(200, 2)
         bs = bp.build(pts, bp.Box(0.0, 1.0, 2), q=6)
-        got = bp.range_search(bs, (0.5, 0.5), 0.15)
+        got = search_one(bs, (0.5, 0.5), 0.15)
         want = bp.brute_force_range_search(pts.coords, (0.5, 0.5), 0.15)
         assert np.array_equal(got.indices, want.indices)
         assert np.array_equal(got.distances, want.distances)
@@ -244,8 +254,10 @@ class TestRangeSearch:
         # two points at the same distance from the center: index breaks the tie
         pts = bp.PointSet([[0.6, 0.5], [0.4, 0.5], [0.5, 0.5]])
         bs = bp.build(pts, bp.Box(0.0, 1.0, 2), q=1)
-        found = bp.range_search(bs, (0.5, 0.5), 0.5)
-        assert list(found.indices) == [2, 0, 1]
+        found = search_one(bs, (0.5, 0.5), 0.5)
+        want = bp.brute_force_range_search(pts.coords, (0.5, 0.5), 0.5)
+        assert list(found.indices) == list(want.indices) == [2, 0, 1]
+        assert np.array_equal(found.distances, want.distances)
         assert np.all(np.diff(found.distances) >= 0)
 
     def test_center_outside_box_is_clamped_not_wrong(self, rng):
@@ -253,7 +265,7 @@ class TestRangeSearch:
         dom = bp.convex_hull(pts)
         bs = bp.build(pts, dom.box, q=4)
         center = np.array([1.3, 0.4])
-        got = bp.range_search(bs, center, bs.width)
+        got = search_one(bs, center, bs.width)
         want = bp.brute_force_range_search(pts.coords, center, bs.width)
         assert np.array_equal(got.indices, want.indices)
         assert np.array_equal(got.distances, want.distances)
@@ -268,7 +280,7 @@ class TestRangeSearch:
         bs = bp.build(pts, bp.Box(0.0, 1.0, dim), q=q)
         assert radius <= bs.width
         center = rng.random(dim)
-        got = bp.range_search(bs, center, radius)
+        got = search_one(bs, center, radius)
         want = bp.brute_force_range_search(pts.coords, center, radius)
         assert np.array_equal(got.indices, want.indices)
         assert np.array_equal(got.distances, want.distances)
@@ -337,7 +349,7 @@ class TestRangeJoin:
         assert first.shape == size.shape == (q**dim, 3 ** (dim - 1))
         for k in range(1, q**dim + 1):
             runs = [bs.sorted_idx[f : f + n] for f, n in zip(first[k - 1], size[k - 1])]
-            want = [bs.bucket(j) for j in bp.neighborhood_of(bs, k).block_ids]
+            want = [bucket(bs, j) for j in neighborhood_of(bs, k).block_ids]
             assert sorted(np.concatenate(runs).tolist()) == sorted(np.concatenate(want).tolist())
 
     @given(st.integers(0, 2**31 - 1), st.sampled_from([2, 3]), st.integers(1, 4), st.sampled_from([4, 8]))
@@ -345,14 +357,15 @@ class TestRangeJoin:
     def test_lattice_ties_keep_index_order(self, seed, dim, q, per_side):
         # points and queries on a lattice of spacing 1/per_side, a power of
         # two, so differences and distances are exact and equal distances
-        # from one query are exactly equal: range_search must order them by index
+        # from one query are exactly equal: a one-row join in (distance, index)
+        # order must equal brute force, ties included
         rng = np.random.default_rng(seed)
         lattice = np.indices((per_side + 1,) * dim).reshape(dim, -1).T / per_side
         pts = rng.permutation(lattice)
         bs = bp.build(bp.PointSet(pts), bp.Box(0.0, 1.0, dim), q=q)
         radius = min(bs.width, rng.integers(1, 3) / per_side)
         for center in rng.integers(-1, per_side + 2, (40, dim)) / per_side:
-            got = bp.range_search(bs, center, radius)
+            got = search_one(bs, center, radius)
             want = bp.brute_force_range_search(pts, center, radius)
             assert np.array_equal(got.indices, want.indices)
             assert np.array_equal(got.distances, want.distances)
@@ -371,29 +384,19 @@ class TestRangeJoin:
         assert len(pairs.rows) == len(pairs.indices) == len(pairs.distances) == 0
         assert pairs.candidates == 0
 
-    @pytest.mark.parametrize(
-        "search,query",
-        [
-            (bp.range_search, [0.5, 0.5, 0.5]),
-            (bp.join_pairs, [[0.5, 0.5, 0.5]]),
-            (bp.join_pairs, [0.5, 0.5]),
-        ],
-        ids=["range_search", "join_pairs", "join_pairs-1d"],
-    )
-    def test_wrong_dimension_raises(self, search, query):
+    @pytest.mark.parametrize("query", [[[0.5, 0.5, 0.5]], [0.5, 0.5]], ids=["join_pairs", "join_pairs-1d"])
+    def test_wrong_dimension_raises(self, query):
         bs = bp.build(bp.PointSet([[0.5, 0.5]]), bp.Box(0.0, 1.0, 2), q=2)
         with pytest.raises(ValueError):
-            search(bs, query, 0.3)
+            bp.join_pairs(bs, query, 0.3)
 
     @pytest.mark.parametrize(
-        "search,query",
-        [(bp.range_search, [np.nan, 0.5]), (bp.join_pairs, [[0.5, np.nan]])],
-        ids=["range_search", "join_pairs"],
+        "query", [[[0.5, np.nan]], [[np.nan, 0.5]]], ids=["join_pairs", "join_pairs-nan-first"]
     )
-    def test_nan_query_raises(self, search, query):
+    def test_nan_query_raises(self, query):
         bs = bp.build(bp.PointSet([[0.5, 0.5]]), bp.Box(0.0, 1.0, 2), q=2)
         with pytest.raises(ValueError, match="NaN"):
-            search(bs, query, 0.3)
+            bp.join_pairs(bs, query, 0.3)
 
 
 class TestRadiusCheck:
@@ -409,16 +412,17 @@ class TestRadiusCheck:
             search(bs, [[0.5, 0.5]], 0.4)
 
     def test_search_refuses_radius_wider_than_block(self):
+        # one query, a radius just past the rounding slack of the width check
         pts = bp.PointSet(np.random.default_rng(8).random((2000, 2)))
         bs = bp.build(pts, bp.Box(0.0, 1.0, 2), q=8)
         with pytest.raises(ValueError, match="block width"):
-            bp.range_search(bs, (0.5, 0.5), 0.4)
+            search_one(bs, (0.5, 0.5), bs.width * (1 + 1e-9))
 
     @pytest.mark.parametrize("radius", [0.4, 1.5, 10.0])
     def test_single_block_takes_any_radius(self, radius):
         pts = np.random.default_rng(8).random((2000, 2))
         bs = bp.build(bp.PointSet(pts), bp.Box(0.0, 1.0, 2), q=1)
-        got = bp.range_search(bs, (0.5, 0.5), radius)
+        got = search_one(bs, (0.5, 0.5), radius)
         want = bp.brute_force_range_search(pts, (0.5, 0.5), radius)
         assert np.array_equal(got.indices, want.indices)
         assert np.array_equal(got.distances, want.distances)

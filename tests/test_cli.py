@@ -105,7 +105,7 @@ class TestPointFiles(object):
     def test_duplicate_points_rejected(self, tmp_path):
         path = tmp_path / "pts.txt"
         path.write_text("0.1 0.2\n0.1 0.2\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"pts.txt: point row 1 duplicates row 0 at \[0.1 0.2\]"):
             io.load_points(path)
 
     def test_bad_number_reported_with_line(self, tmp_path):

@@ -410,3 +410,19 @@ class TestPointSet:
         pts = bp.PointSet([[0.0, 0.0]])
         with pytest.raises(ValueError):
             pts.coords[0, 0] = 1.0
+
+
+class TestFirstDuplicate:
+    @pytest.mark.parametrize(
+        "rows,want",
+        [
+            ([[0.0, 1.0], [0.0, 2.0], [1.0, 1.0]], None),  # ties in single columns only
+            ([[0.5, 0.5], [0.2, 0.1], [0.5, 0.5]], (0, 2)),
+            ([[3.0, 1.0], [1.0, 1.0], [3.0, 1.0], [1.0, 1.0]], (0, 2)),  # the lowest repeat
+            ([[1.0, 2.0, 3.0]] * 3, (0, 1)),
+            ([[4.0], [2.0], [2.0]], (1, 2)),
+            ([[0.1, 0.2]], None),
+        ],
+    )
+    def test_examples(self, rows, want):
+        assert geometry.first_duplicate(np.array(rows)) == want

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.spatial.distance import cdist
 
 import blockpum as bp
 from blockpum.kernels import phi_wendland_c2, phi_wu_c4
@@ -198,21 +199,23 @@ class TestKernelObject:
 
 
 class TestDenseMatrix:
+    """Dense kernel matrices, ``kernel(cdist(a, b))``."""
+
     def test_single_point(self):
         a = bp.PointSet([[0.0, 0.0]])
         k = bp.make_kernel("wendland-c2", 0.5)
-        assert np.array_equal(bp.dense_distance_matrix(a, a, k), [[1.0]])
+        assert np.array_equal(k(cdist(a.coords, a.coords)), [[1.0]])
 
     def test_symmetry(self, rng):
         a = bp.PointSet(rng.random((30, 2)))
         k = bp.make_kernel("wendland-c2", 1.5)
-        m = bp.dense_distance_matrix(a, a, k)
+        m = k(cdist(a.coords, a.coords))
         assert np.allclose(m, m.T, atol=0)
 
     def test_collinear_spacing_one(self):
         a = bp.PointSet([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
         k = bp.make_kernel("wendland-c2", 0.5)
-        m = bp.dense_distance_matrix(a, a, k)
+        m = k(cdist(a.coords, a.coords))
         assert m[0, 1] == pytest.approx(0.1875, rel=1e-15)
         assert m[0, 2] == 0.0
         assert np.allclose(np.diag(m), 1.0)
@@ -223,6 +226,6 @@ def test_interpolation_matrix_positive_definite(name, dim, rng):
     for n in (5, 20, 50):
         pts = bp.PointSet(rng.random((n, dim)))
         k = bp.make_kernel(name, 1.0)
-        m = bp.dense_distance_matrix(pts, pts, k)
+        m = k(cdist(pts.coords, pts.coords))
         eigs = np.linalg.eigvalsh(m)
         assert eigs.min() > 0

@@ -38,6 +38,7 @@ from blockpum.reconstruct import OrientedCloud, default_step, grid_coords, recon
 from blockpum.validation import eval_test_function
 
 from conftest import fibonacci_sphere, pentagon_vertices
+from oracles import bucket_sizes, n_blocks
 
 
 def pentagon_nodes(raw_n, func="f1"):
@@ -454,27 +455,35 @@ class TestBatchedSolve:
         st.sampled_from([2, 3]),
         st.sampled_from(["wendland-c2", "wu-c4"]),
         st.lists(st.integers(1, 120), min_size=1, max_size=6),
-        st.booleans(),
+        st.sampled_from(["well", "ill", "coupled"]),
     )
     @settings(max_examples=25, deadline=None)
-    def test_matches_reference_solve(self, seed, dim, kernel_name, sizes, ill):
+    def test_matches_reference_solve(self, seed, dim, kernel_name, sizes, draw):
         # ill-conditioned: a support of ten times the site spread makes every
         # kernel matrix nearly flat (cond up to ~1e15); well-conditioned: a
-        # support of a third of it leaves the matrices near-diagonal
+        # support of a third of it leaves the matrices near-diagonal, maybe
+        # diagonal; coupled: a support of 2/3 over sites in a cube of side 0.3
+        # (diameter at most 0.52) couples every pair of sites
         rng = np.random.default_rng(seed)
-        spread = 0.5 if ill else 1.0
+        spread, epsilon = {"well": (1.0, 3.0), "ill": (0.5, 0.2), "coupled": (0.3, 1.5)}[draw]
+        if draw == "coupled":
+            sizes = [max(n, 2) for n in sizes]
         sites = rng.random((240, dim)) * spread
         nodes = bp.PointSet(sites, np.sin(3 * sites[:, 0]) + sites[:, 1] ** 2)
-        kernel = bp.make_kernel(kernel_name, 0.2 if ill else 3.0)
+        kernel = bp.make_kernel(kernel_name, epsilon)
         # each size taken one to three times, so stacks hold several matrices
         node_lists = [rng.choice(len(sites), n, replace=False) for n in sizes for _ in range(rng.integers(1, 4))]
         ptr, members = csr(node_lists)
         table = _fit_subdomains(nodes, ptr, members, kernel)
         assert_matches_reference(nodes, node_lists, table, kernel)
         # bit for bit the route that one posv per matrix replaced
+        coupled = False
         for subs, rows in _size_stacks(ptr):
-            want = cholesky_potrs_solve(_kernel_stack(nodes.coords[members[rows]], kernel), nodes.values[members[rows]])
+            phi = _kernel_stack(nodes.coords[members[rows]], kernel)
+            coupled |= bool((phi[:, ~np.eye(phi.shape[1], dtype=bool)] != 0).any())
+            want = cholesky_potrs_solve(phi, nodes.values[members[rows]])
             assert np.array_equal(table.coefficients[rows], want), subs
+        assert coupled or draw != "coupled"
 
     def test_cholesky_failure_falls_back_per_matrix(self):
         # phi(r) = 1 - r^2 gives a positive-definite matrix for two sites
@@ -842,7 +851,7 @@ def oracle_solve(model, j):
 
 
 def _per_subdomain(model, pts):
-    """Per-subdomain evaluation: index the points, one range_search per center,
+    """Per-subdomain evaluation: index the points, a one-row join per center,
     one local solve per touched subdomain, blend subdomains in ascending order,
     each local value the ``.sum()`` of its row of terms.
 
@@ -855,7 +864,7 @@ def _per_subdomain(model, pts):
     den = np.zeros(len(pts))
     mag = np.zeros(len(pts))
     for j, center in enumerate(model.covering.centers):
-        found = bp.range_search(qbs, center, model.delta)
+        found = bp.join_pairs(qbs, center[None], model.delta)
         inside = found.distances < model.delta
         members = found.indices[inside]
         if len(members) == 0:
@@ -1155,7 +1164,7 @@ class TestPredictOracles:
         index = cov.center_index
         assert np.array_equal(index.sorted_idx, np.arange(cov.d)) and index.points is cov.centers
         codes = blockpart._block_codes(cov.centers, index.box, index.width, index.q)
-        assert np.array_equal(np.repeat(np.arange(index.n_blocks), index.bucket_sizes()), codes)
+        assert np.array_equal(np.repeat(np.arange(n_blocks(index)), bucket_sizes(index)), codes)
 
         where = {tuple(c): i for i, c in enumerate(grid.centers)}
         keep = np.array([where[tuple(c)] for c in cov.centers])
